@@ -21,45 +21,44 @@
 #include "core/div_search.h"
 #include "core/query_context.h"
 #include "core/sk_search.h"
-#include "datagen/network_generator.h"
-#include "datagen/object_generator.h"
 #include "datagen/workload.h"
-#include "graph/ccam.h"
 #include "graph/dijkstra.h"
+#include "harness/database.h"
 #include "index/sif.h"
 #include "spatial/zorder.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "text/term_stats.h"
 
 namespace dsks {
 namespace {
 
-/// Shared medium-size fixture, built once.
+/// Shared medium-size fixture, built once: a Database with a SIF index
+/// (signatures on every keyword) and its build-size pool, so every page
+/// stays resident. The benches below time the layers directly.
 struct World {
-  std::unique_ptr<RoadNetwork> net;
-  std::unique_ptr<ObjectSet> objects;
-  DiskManager disk;
-  std::unique_ptr<BufferPool> pool;
-  CcamFile ccam;
-  std::unique_ptr<CcamGraph> graph;
-  std::unique_ptr<SifIndex> index;
+  std::unique_ptr<Database> db;
+  const RoadNetwork* net = nullptr;
+  const ObjectSet* objects = nullptr;
+  const CcamGraph* graph = nullptr;
+  SifIndex* index = nullptr;
 
   World() {
-    NetworkGenConfig nc;
-    nc.num_nodes = 4000;
-    nc.seed = 1;
-    net = GenerateRoadNetwork(nc);
-    ObjectGenConfig oc;
-    oc.num_objects = 40000;
-    oc.vocab_size = 2000;
-    oc.keywords_per_object = 8;
-    oc.seed = 2;
-    objects = GenerateObjects(*net, oc);
-    pool = std::make_unique<BufferPool>(&disk, 1u << 16);
-    ccam = CcamFileBuilder::Build(*net, &disk);
-    graph = std::make_unique<CcamGraph>(&ccam, pool.get());
-    index = std::make_unique<SifIndex>(pool.get(), *objects, 2000, 1);
+    DatasetConfig config;
+    config.network.num_nodes = 4000;
+    config.network.seed = 1;
+    config.objects.num_objects = 40000;
+    config.objects.vocab_size = 2000;
+    config.objects.keywords_per_object = 8;
+    config.objects.seed = 2;
+    db = std::make_unique<Database>(config);
+    IndexOptions options;
+    options.kind = IndexKind::kSIF;
+    options.signature_min_postings = 1;
+    db->BuildIndex(options);
+    net = &db->network();
+    objects = &db->objects();
+    graph = &db->ccam_graph();
+    index = static_cast<SifIndex*>(db->index());  // kind is kSIF
   }
 };
 
@@ -157,16 +156,15 @@ BENCHMARK(BM_LoadObjects);
 
 void BM_SkSearchQuery(benchmark::State& state) {
   World& w = TheWorld();
-  TermStats stats(*w.objects, 2000);
   WorkloadConfig wc;
   wc.num_queries = 64;
   wc.num_keywords = 3;
   wc.seed = 7;
-  const Workload wl = GenerateWorkload(*w.objects, stats, wc);
+  const Workload wl = GenerateWorkload(*w.objects, w.db->term_stats(), wc);
   size_t i = 0;
   for (auto _ : state) {
     const WorkloadQuery& wq = wl.queries[i++ % wl.queries.size()];
-    IncrementalSkSearch search(w.graph.get(), w.index.get(), wq.sk, wq.edge);
+    IncrementalSkSearch search(w.graph, w.index, wq.sk, wq.edge);
     SkResult r;
     size_t count = 0;
     while (search.Next(&r)) {
@@ -344,12 +342,11 @@ void BM_DivComOracle(benchmark::State& state) {
   const OracleStrategy strategy = state.range(1) == 0
                                       ? OracleStrategy::kSharedExpansion
                                       : OracleStrategy::kPerObjectDijkstra;
-  TermStats stats(*w.objects, 2000);
   WorkloadConfig wc;
   wc.num_queries = 32;
   wc.num_keywords = 3;
   wc.seed = 11;
-  const Workload wl = GenerateWorkload(*w.objects, stats, wc);
+  const Workload wl = GenerateWorkload(*w.objects, w.db->term_stats(), wc);
   QueryContext ctx;
   uint64_t fields = 0;
   uint64_t pairs = 0;
@@ -362,9 +359,8 @@ void BM_DivComOracle(benchmark::State& state) {
     dq.sk = wq.sk;
     dq.k = k;
     dq.lambda = 0.8;
-    IncrementalSkSearch search(w.graph.get(), w.index.get(), dq.sk, wq.edge,
-                               &ctx);
-    PairwiseDistanceOracle oracle(w.graph.get(), 2.0 * dq.sk.delta_max,
+    IncrementalSkSearch search(w.graph, w.index, dq.sk, wq.edge, &ctx);
+    PairwiseDistanceOracle oracle(w.graph, 2.0 * dq.sk.delta_max,
                                   strategy, &ctx);
     oracle.SetQueryEdge(wq.edge);
     const DivSearchOutput out = DiversifiedSearchCOM(&search, dq, &oracle);

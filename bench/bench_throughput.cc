@@ -37,8 +37,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
+#include "server/query_server.h"
 
 using namespace dsks;         // NOLINT
 using namespace dsks::bench;  // NOLINT
@@ -96,21 +96,24 @@ obs::TraceSamplerConfig g_sampling;
 obs::FlightRecorder* g_recorder = nullptr;
 
 /// Live stats endpoint over GlobalMetrics + the flight recorder, gated on
-/// DSKS_BENCH_STATS_PORT. Construction binds the db's pool/disk counters
+/// DSKS_BENCH_STATS_PORT: a QueryServer on the bench's database, whose
+/// HTTP routes serve both. Construction binds the db's pool/disk counters
 /// into the registry and prints one discoverable "STATS http://..." line;
 /// destruction optionally lingers (DSKS_BENCH_STATS_LINGER_MS) so external
 /// scrapers started against that line never race bench exit.
-class ScopedStatsServer {
+class ScopedStatsEndpoint {
  public:
-  ScopedStatsServer(Database* db, const obs::FlightRecorder* recorder) {
+  ScopedStatsEndpoint(Database* db, obs::FlightRecorder* recorder) {
     const char* port_env = std::getenv("DSKS_BENCH_STATS_PORT");
     if (port_env == nullptr) {
       return;
     }
     db_ = db;
     db_->BindMetrics(&obs::GlobalMetrics());
-    server_ = std::make_unique<obs::StatsServer>(&obs::GlobalMetrics(),
-                                                 recorder);
+    server::ServerConfig config;
+    config.service.metrics = &obs::GlobalMetrics();
+    config.service.flight_recorder = recorder;
+    server_ = std::make_unique<server::QueryServer>(db, config);
     const Status started =
         server_->Start(static_cast<uint16_t>(std::atoi(port_env)));
     if (!started.ok()) {
@@ -124,7 +127,7 @@ class ScopedStatsServer {
     std::fflush(stdout);
   }
 
-  ~ScopedStatsServer() {
+  ~ScopedStatsEndpoint() {
     if (server_ != nullptr) {
       // Flush before the linger opens: with stdout redirected to a file the
       // bench's final lines are fully buffered, and scrapers keyed off that
@@ -144,7 +147,7 @@ class ScopedStatsServer {
 
  private:
   Database* db_ = nullptr;
-  std::unique_ptr<obs::StatsServer> server_;
+  std::unique_ptr<server::QueryServer> server_;
 };
 
 void EmitJson(const char* workload, const ThroughputMetrics& m,
@@ -294,13 +297,12 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
 
 void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
                       bool div) {
-  // Single-threaded so the counter deltas are exact (no other query's
-  // traffic lands inside a span); spin-wait delay like the sequential
-  // harness so phase times include the simulated I/O cost.
+  // Single-threaded with the spin-wait delay of the sequential harness, so
+  // phase times include the simulated I/O cost. The I/O deltas come from
+  // the context's own counters, which Database::Run* binds to the trace.
   ScopedIoDelay delay(db);
   db->ResetCounters();
   obs::QueryTrace trace;
-  trace.BindIoSources(&db->pool()->stats(), &db->disk()->stats());
   QueryContext ctx;
   ctx.trace = &trace;
   const size_t n = std::min<size_t>(wl.queries.size(), 32);
@@ -434,7 +436,7 @@ int main(int argc, char** argv) {
         &obs::GlobalMetrics().gauge("dsks.flight_recorder.entries"));
     g_recorder = &recorder;
   }
-  ScopedStatsServer stats(&db, g_recorder);
+  ScopedStatsEndpoint stats(&db, g_recorder);
 
   WorkloadConfig wc;
   wc.num_queries = num_queries;

@@ -7,27 +7,20 @@
 //   n0 --- n1 --- n2        like "pizza", "lobster", "pancake".
 #include <cstdio>
 #include <memory>
+#include <utility>
 
-#include "core/distance_oracle.h"
-#include "core/div_search.h"
-#include "core/sk_search.h"
 #include "datagen/workload.h"
-#include "graph/ccam.h"
-#include "graph/object_set.h"
-#include "graph/road_network.h"
-#include "index/sif.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
+#include "harness/database.h"
 #include "text/vocabulary.h"
 
 using namespace dsks;  // NOLINT
 
 int main() {
   // 1. The road network G = (V, E, W).
-  RoadNetwork net;
+  auto net = std::make_unique<RoadNetwork>();
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 3; ++c) {
-      net.AddNode(Point{10.0 * c, 10.0 * r});
+      net->AddNode(Point{10.0 * c, 10.0 * r});
     }
   }
   EdgeId e_bottom_left;   // n0-n1
@@ -35,14 +28,14 @@ int main() {
   EdgeId e_top_left;      // n3-n4
   EdgeId e_vertical;      // n1-n4
   EdgeId e;
-  net.AddEdge(0, 1, -1, &e_bottom_left);
-  net.AddEdge(1, 2, -1, &e_bottom_right);
-  net.AddEdge(3, 4, -1, &e_top_left);
-  net.AddEdge(4, 5, -1, &e);
-  net.AddEdge(0, 3, -1, &e);
-  net.AddEdge(1, 4, -1, &e_vertical);
-  net.AddEdge(2, 5, -1, &e);
-  net.Finalize();
+  net->AddEdge(0, 1, -1, &e_bottom_left);
+  net->AddEdge(1, 2, -1, &e_bottom_right);
+  net->AddEdge(3, 4, -1, &e_top_left);
+  net->AddEdge(4, 5, -1, &e);
+  net->AddEdge(0, 3, -1, &e);
+  net->AddEdge(1, 4, -1, &e_vertical);
+  net->AddEdge(2, 5, -1, &e);
+  net->Finalize();
 
   // 2. Spatio-textual objects with human-readable keywords.
   Vocabulary vocab;
@@ -51,36 +44,33 @@ int main() {
   const TermId pizza = vocab.Intern("pizza");
   const TermId coffee = vocab.Intern("coffee");
 
-  ObjectSet objects(&net);
+  auto objects = std::make_unique<ObjectSet>(net.get());
   ObjectId id;
-  objects.Add(e_bottom_left, 2.0, {lobster, pancake}, &id);   // o0
-  objects.Add(e_bottom_left, 8.0, {lobster, pancake, pizza}, &id);  // o1
-  objects.Add(e_bottom_right, 5.0, {pizza, coffee}, &id);     // o2
-  objects.Add(e_top_left, 4.0, {lobster, pancake}, &id);      // o3
-  objects.Add(e_vertical, 5.0, {coffee}, &id);                // o4
-  objects.Finalize();
+  objects->Add(e_bottom_left, 2.0, {lobster, pancake}, &id);   // o0
+  objects->Add(e_bottom_left, 8.0, {lobster, pancake, pizza}, &id);  // o1
+  objects->Add(e_bottom_right, 5.0, {pizza, coffee}, &id);     // o2
+  objects->Add(e_top_left, 4.0, {lobster, pancake}, &id);      // o3
+  objects->Add(e_vertical, 5.0, {coffee}, &id);                // o4
+  objects->Finalize();
 
   // 3. Disk-resident structures: CCAM file + signature-based inverted
-  //    file, all behind one buffer pool.
-  DiskManager disk;
-  BufferPool pool(&disk, 128);
-  const CcamFile ccam = CcamFileBuilder::Build(net, &disk);
-  CcamGraph graph(&ccam, &pool);
-  SifIndex index(&pool, objects, vocab.size(), /*min_postings=*/1);
+  //    file, all behind one buffer pool, assembled by the Database.
+  Database db(std::move(net), std::move(objects));
+  IndexOptions index;
+  index.kind = IndexKind::kSIF;
+  index.signature_min_postings = 1;
+  db.BuildIndex(index);
 
   // 4. A boolean SK query: everything serving lobster AND pancake within
   //    network distance 30 of a point on edge n0-n1.
   SkQuery query;
   query.loc = NetworkLocation{e_bottom_left, 1.0};
   query.terms = {lobster, pancake};
-  std::sort(query.terms.begin(), query.terms.end());
   query.delta_max = 30.0;
-  const QueryEdgeInfo qe = MakeQueryEdgeInfo(net, query.loc);
+  const QueryEdgeInfo qe = MakeQueryEdgeInfo(db.network(), query.loc);
 
   std::printf("SK query: {lobster, pancake}, delta_max=30\n");
-  IncrementalSkSearch search(&graph, &index, query, qe);
-  SkResult r;
-  while (search.Next(&r)) {
+  for (const SkResult& r : db.RunSkQuery(query, qe)) {
     std::printf("  object o%u at network distance %.1f\n", r.id, r.dist);
   }
 
@@ -90,9 +80,7 @@ int main() {
   dq.sk = query;
   dq.k = 2;
   dq.lambda = 0.3;  // favour spatial spread over closeness
-  IncrementalSkSearch search2(&graph, &index, dq.sk, qe);
-  PairwiseDistanceOracle oracle(&graph, 2.0 * dq.sk.delta_max);
-  const DivSearchOutput out = DiversifiedSearchCOM(&search2, dq, &oracle);
+  const DivSearchOutput out = db.RunDivQuery(dq, qe, /*use_com=*/true);
 
   std::printf("Diversified (k=2, lambda=%.1f): f(S)=%.4f\n", dq.lambda,
               out.objective);

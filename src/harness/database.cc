@@ -39,11 +39,35 @@ constexpr size_t kBuildPoolFrames = 64 * 1024;  // 256 MiB of frames
 
 }  // namespace
 
+Database::Database(std::unique_ptr<RoadNetwork> network,
+                   std::unique_ptr<ObjectSet> objects,
+                   const DiskOptions& storage)
+    : network_(std::move(network)),
+      objects_(std::move(objects)),
+      disk_(storage) {
+  DSKS_CHECK_MSG(network_ != nullptr && objects_ != nullptr &&
+                     objects_->finalized() &&
+                     &objects_->network() == network_.get(),
+                 "Database needs a finalized object set on its network");
+  size_t vocab_size = 0;
+  for (const SpatioTextualObject& o : objects_->objects()) {
+    for (const TermId t : o.terms) {
+      vocab_size = std::max<size_t>(vocab_size, t + 1);
+    }
+  }
+  Assemble(vocab_size);
+}
+
 Database::Database(const DatasetConfig& config, const DiskOptions& storage)
-    : config_(config), disk_(storage) {
-  network_ = GenerateRoadNetwork(config.network);
-  objects_ = GenerateObjects(*network_, config.objects);
-  term_stats_ = std::make_unique<TermStats>(*objects_, config.objects.vocab_size);
+    : config_(config),
+      network_(GenerateRoadNetwork(config.network)),
+      objects_(GenerateObjects(*network_, config.objects)),
+      disk_(storage) {
+  Assemble(config.objects.vocab_size);
+}
+
+void Database::Assemble(size_t vocab_size) {
+  term_stats_ = std::make_unique<TermStats>(*objects_, vocab_size);
   pool_ = std::make_unique<BufferPool>(&disk_, kBuildPoolFrames);
   ccam_file_ = CcamFileBuilder::Build(*network_, &disk_);
   ccam_graph_ = std::make_unique<CcamGraph>(&ccam_file_, pool_.get());
@@ -51,7 +75,7 @@ Database::Database(const DatasetConfig& config, const DiskOptions& storage)
 }
 
 Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
-  const size_t vocab = config_.objects.vocab_size;
+  const size_t vocab = term_stats_->vocab_size();
   const size_t min_postings = options.signature_min_postings == 0
                                   ? PostingFile::EntriesPerPage()
                                   : options.signature_min_postings;
@@ -163,13 +187,41 @@ void Database::UnbindMetrics(obs::MetricsRegistry* registry,
 
 namespace {
 
-/// Stamps a failed query's code into its trace, preserving the spans
-/// recorded before the error as the partial-work account.
-void MarkTraceError(QueryContext* ctx, const Status& status) {
-  if (!status.ok() && ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->MarkError(status.code_name());
+/// Everything a query entry point installs for its optional context:
+/// the storage layer charges the query's I/O to the context, an attached
+/// trace snapshots those per-context counters (so span deltas stay exact
+/// under concurrency) and gets the kQuery root span. Construct it before
+/// any query I/O: the SK search constructor already reads keyword pages.
+class QueryScope {
+ public:
+  explicit QueryScope(QueryContext* ctx)
+      : ctx_(ctx),
+        io_account_(ctx == nullptr ? nullptr : &ctx->io),
+        root_(BindTrace(ctx), obs::Phase::kQuery) {}
+
+  /// Passes `status` through, stamping a failure's code into the trace;
+  /// the spans recorded before the error remain as the partial-work
+  /// account.
+  Status Finish(const Status& status) {
+    if (!status.ok() && ctx_ != nullptr && ctx_->trace != nullptr) {
+      ctx_->trace->MarkError(status.code_name());
+    }
+    return status;
   }
-}
+
+ private:
+  static obs::QueryTrace* BindTrace(QueryContext* ctx) {
+    if (ctx == nullptr || ctx->trace == nullptr) {
+      return nullptr;
+    }
+    ctx->trace->BindContextIo(&ctx->io);
+    return ctx->trace;
+  }
+
+  QueryContext* ctx_;
+  obs::ScopedIoAccount io_account_;
+  obs::ScopedSpan root_;
+};
 
 }  // namespace
 
@@ -198,24 +250,13 @@ Status Database::RunSkQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   SkQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q, edge));
-  // Charge this query's storage I/O to its context; with a trace attached,
-  // snapshot those per-context counters so span deltas stay exact under
-  // concurrency (other queries charge their own contexts).
-  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
-  if (ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->BindContextIo(&ctx->io);
-  }
-  // Root span: the search constructor already does keyword I/O, so the
-  // span must open before it.
-  obs::ScopedSpan root(ctx == nullptr ? nullptr : ctx->trace,
-                       obs::Phase::kQuery);
+  QueryScope scope(ctx);
   IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q, edge, ctx);
   SkResult r;
   while (search.Next(&r)) {
     out->push_back(r);
   }
-  MarkTraceError(ctx, search.status());
-  return search.status();
+  return scope.Finish(search.status());
 }
 
 std::vector<SkResult> Database::RunSkQuery(const SkQuery& query,
@@ -228,7 +269,8 @@ std::vector<SkResult> Database::RunSkQuery(const SkQuery& query,
 }
 
 Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
-                             size_t k, std::vector<SkResult>* out) {
+                             size_t k, std::vector<SkResult>* out,
+                             QueryContext* ctx) {
   out->clear();
   SkQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q));
@@ -236,7 +278,9 @@ Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   if (k == 0) {
     return Status::InvalidArgument("kNN query needs k >= 1");
   }
-  return BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out);
+  QueryScope scope(ctx);
+  return scope.Finish(
+      BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out));
 }
 
 std::vector<SkResult> Database::RunKnnQuery(const SkQuery& query,
@@ -250,7 +294,8 @@ std::vector<SkResult> Database::RunKnnQuery(const SkQuery& query,
 
 Status Database::RunRankedQuery(const RankedQuery& query,
                                 const QueryEdgeInfo& edge,
-                                std::vector<RankedResult>* out) {
+                                std::vector<RankedResult>* out,
+                                QueryContext* ctx) {
   out->clear();
   RankedQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q.sk));
@@ -261,7 +306,9 @@ Status Database::RunRankedQuery(const RankedQuery& query,
   if (!(q.alpha >= 0.0 && q.alpha <= 1.0)) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  return RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out);
+  QueryScope scope(ctx);
+  return scope.Finish(
+      RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out));
 }
 
 std::vector<RankedResult> Database::RunRankedQuery(const RankedQuery& query,
@@ -279,12 +326,7 @@ Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
   DivQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeDivQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q.sk, edge));
-  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
-  if (ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->BindContextIo(&ctx->io);
-  }
-  obs::ScopedSpan root(ctx == nullptr ? nullptr : ctx->trace,
-                       obs::Phase::kQuery);
+  QueryScope scope(ctx);
   IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q.sk, edge,
                              ctx);
   PairwiseDistanceOracle oracle(ccam_graph_.get(), 2.0 * q.sk.delta_max,
@@ -292,8 +334,7 @@ Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
   oracle.SetQueryEdge(edge);
   *out = use_com ? DiversifiedSearchCOM(&search, q, &oracle)
                  : DiversifiedSearchSEQ(&search, q, &oracle);
-  MarkTraceError(ctx, out->status);
-  return out->status;
+  return scope.Finish(out->status);
 }
 
 DivSearchOutput Database::RunDivQuery(const DivQuery& query,

@@ -41,16 +41,26 @@ struct IndexOptions {
   size_t signature_min_postings = 0;  // 0 = one page worth of postings
 };
 
-/// A fully assembled "database instance": a generated dataset, its CCAM
-/// file, an object index and the shared buffer pool. Every bench and
-/// example talks to the system through this facade.
+/// A fully assembled "database instance": a dataset, its CCAM file, an
+/// object index and the shared buffer pool. This facade is the only way
+/// the CLI, benches, examples and the query server assemble the stack.
 class Database {
  public:
-  /// Generates the dataset and writes the CCAM file. The buffer pool
-  /// starts large (for index construction); PrepareForQueries() shrinks it
-  /// to the paper's 2% before measurements. `storage` selects the disk
+  /// Takes ownership of a dataset (e.g. from LoadDataset; `objects` must be
+  /// finalized and lie on `network`) and writes its CCAM file. The
+  /// vocabulary is max term id + 1. The buffer pool starts
+  /// large (for index construction); PrepareForQueries() shrinks it to
+  /// the paper's 2% before measurements. `storage` selects the disk
   /// backend: the in-memory simulation (default) or a real index file
-  /// (DiskBackendKind::kFile with a path).
+  /// (DiskBackendKind::kFile with a path). config() stays the default
+  /// DatasetConfig.
+  Database(std::unique_ptr<RoadNetwork> network,
+           std::unique_ptr<ObjectSet> objects,
+           const DiskOptions& storage = DiskOptions{});
+
+  /// Generates the dataset from `config` and assembles it as above, but
+  /// with the configured vocabulary size (which may exceed the largest
+  /// term id the generator drew).
   explicit Database(const DatasetConfig& config,
                     const DiskOptions& storage = DiskOptions{});
 
@@ -137,14 +147,19 @@ class Database {
       OracleStrategy strategy = OracleStrategy::kSharedExpansion);
 
   /// Boolean k-nearest-neighbour SK query (all keywords, k closest).
+  /// With a context, its I/O is charged there and a trace gets the root
+  /// span (these searches record no phase spans of their own).
   Status RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
-                     size_t k, std::vector<SkResult>* out);
+                     size_t k, std::vector<SkResult>* out,
+                     QueryContext* ctx = nullptr);
   std::vector<SkResult> RunKnnQuery(const SkQuery& query,
                                     const QueryEdgeInfo& edge, size_t k);
 
   /// Ranked top-k SK query (OR semantics, distance/text score blend).
+  /// Context handling as in RunKnnQuery.
   Status RunRankedQuery(const RankedQuery& query, const QueryEdgeInfo& edge,
-                        std::vector<RankedResult>* out);
+                        std::vector<RankedResult>* out,
+                        QueryContext* ctx = nullptr);
   std::vector<RankedResult> RunRankedQuery(const RankedQuery& query,
                                            const QueryEdgeInfo& edge);
 
@@ -159,6 +174,10 @@ class Database {
   uint64_t ccam_size_bytes() const { return ccam_file_.size_bytes(); }
 
  private:
+  /// Writes the CCAM file and mounts the build-size pool; shared by both
+  /// constructors once the dataset members are set.
+  void Assemble(size_t vocab_size);
+
   /// Boundary checks a normalized query cannot do on its own: edge ids
   /// must exist in this network and the query edge must be coherent.
   Status CheckQueryEdge(const SkQuery& query,

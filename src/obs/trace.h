@@ -8,12 +8,7 @@
 
 #include "obs/io_account.h"
 
-namespace dsks {
-
-struct BufferPoolStats;
-struct DiskStats;
-
-namespace obs {
+namespace dsks::obs {
 
 /// The query phases the paper's cost model distinguishes: object loading
 /// through the index (Algorithm 2), network expansion (Algorithm 3), the
@@ -55,34 +50,28 @@ struct TraceSpan {
 };
 
 /// Per-query trace sink: phase spans with monotonic-clock timings and
-/// delta-snapshots of an I/O counter source. A query runs traced when its
-/// QueryContext carries a non-null `trace` pointer; otherwise every hook
-/// is an inlined null check and nothing else — the hot paths stay at
+/// delta-snapshots of the query's I/O counters. A query runs traced when
+/// its QueryContext carries a non-null `trace` pointer; otherwise every
+/// hook is an inlined null check and nothing else — the hot paths stay at
 /// their untraced cost.
 ///
 /// One QueryTrace belongs to one thread (like the QueryContext carrying
-/// it). Bind it to the query's per-context counters with BindContextIo —
-/// Database::Run* does this automatically when the context carries a
-/// trace — and the span I/O deltas are exact regardless of how many other
-/// queries run concurrently, because the storage layer charges each
-/// query's I/O to its own context (see obs/io_account.h). BindIoSources
-/// (global pool/disk stats) remains as the fallback for consumers with no
-/// QueryContext; those deltas absorb other threads' traffic and are only
-/// exact single-threaded. Tracing several queries into one trace is fine —
-/// each becomes another kQuery root and the aggregates accumulate.
+/// it). Its only I/O source is the query's per-context counters, bound
+/// with BindContextIo — Database::Run* does this automatically when the
+/// context carries a trace — so the span I/O deltas are exact regardless
+/// of how many other queries run concurrently: the storage layer charges
+/// each query's I/O to its own context (see obs/io_account.h). Tracing
+/// several queries into one trace is fine — each becomes another kQuery
+/// root and the aggregates accumulate.
 class QueryTrace {
  public:
-  /// Snapshots the query context's own attribution counters per span;
-  /// takes precedence over BindIoSources. Null unbinds. Must not be
-  /// called while spans are open — an open span's delta would mix
-  /// snapshots of different counters.
+  /// Snapshots `io` (the query context's own attribution counters) per
+  /// span; unbound or null, the I/O deltas stay zero. Must not be called
+  /// while spans are open — an open span's delta would mix snapshots of
+  /// different counters.
   void BindContextIo(const IoCounters* io);
 
-  /// Fallback counter sources snapshotted per span when no context
-  /// counters are bound; either may be null (those deltas then stay zero).
-  void BindIoSources(const BufferPoolStats* pool, const DiskStats* disk);
-
-  /// Drops all recorded spans (keeps capacity and the bound sources).
+  /// Drops all recorded spans (keeps capacity and the bound counters).
   void Clear();
 
   /// Records that the traced query failed with `code_name` (a
@@ -142,8 +131,6 @@ class QueryTrace {
   int64_t NowNs() const;
 
   const IoCounters* context_io_ = nullptr;
-  const BufferPoolStats* pool_stats_ = nullptr;
-  const DiskStats* disk_stats_ = nullptr;
   std::vector<TraceSpan> spans_;
   std::vector<uint32_t> open_;  // stack of open span indices
   int64_t epoch_ns_ = 0;        // set by the first OpenSpan after Clear
@@ -174,7 +161,6 @@ class ScopedSpan {
   uint32_t index_ = 0;
 };
 
-}  // namespace obs
-}  // namespace dsks
+}  // namespace dsks::obs
 
 #endif  // DSKS_OBS_TRACE_H_

@@ -211,11 +211,16 @@ void QueryServer::AcceptNew() {
 
 void QueryServer::HandleReadable(uint64_t conn_id, Conn* conn) {
   char buf[16 * 1024];
-  while (true) {
+  // Stops early once an HTTP request was answered (read_closed).
+  while (!conn->read_closed) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
-      if (conn->in.size() > config_.max_line_bytes) {
+      // Split off complete requests after every chunk, so the line limit
+      // applies to the unterminated tail only: a pipelined burst of short
+      // lines is valid however large it is.
+      if (!ConsumeInput(conn_id, conn) ||
+          conn->in.size() > config_.max_line_bytes) {
         CloseConn(conn_id);
         return;
       }

@@ -20,8 +20,9 @@ namespace dsks::server {
 /// QueryServer settings: the service policy plus the wire-level limits.
 struct ServerConfig {
   ServiceConfig service;
-  /// Largest accepted request line / HTTP head; longer input is a
-  /// protocol error and the connection closes.
+  /// Largest accepted request line / HTTP head; a longer unterminated
+  /// line is a protocol error and the connection closes. Pipelined
+  /// complete lines never count against it.
   size_t max_line_bytes = 64 * 1024;
   /// Cap on a connection's un-sent response backlog; a client that stops
   /// reading while queries complete is dropped at this bound instead of
@@ -38,9 +39,10 @@ struct ServerConfig {
 ///     response object per line, same order per connection not guaranteed
 ///     across concurrent queries (responses carry the request "id").
 ///   - HTTP GET (a head starting "GET "): the observability routes
-///     /metrics, /varz, /tracez, /healthz — same payloads as StatsServer —
-///     plus /statusz (the server's own counters as JSON). One response,
-///     then close.
+///     /metrics, /varz, /tracez, /healthz (obs::RenderObsRoute over
+///     `service.metrics` and `service.flight_recorder`) plus /statusz (the
+///     server's own counters as JSON). One response, then close. This is
+///     the process's only HTTP listener.
 ///
 /// The poll loop never blocks on a query: Submit's verdict is synchronous
 /// (reject/shed responses queue immediately) and completions from worker

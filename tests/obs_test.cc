@@ -246,8 +246,6 @@ TEST(MetricsRegistryTest, GaugeAddSubIsAtomic) {
 TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   dsks::testing::TestDisk disk;
   BufferPool pool(disk.get(), 2);
-  obs::QueryTrace trace;
-  trace.BindIoSources(&pool.stats(), &disk->stats());
 
   std::vector<PageId> pages;
   for (int i = 0; i < 4; ++i) {
@@ -257,6 +255,13 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
     pages.push_back(id);
   }
   pool.Clear();  // cold cache: the traced fetches below all miss first
+
+  // The traced fetches charge this thread's account, which the trace
+  // snapshots per span.
+  obs::IoCounters io;
+  obs::ScopedIoAccount account(&io);
+  obs::QueryTrace trace;
+  trace.BindContextIo(&io);
 
   const uint32_t root = trace.OpenSpan(obs::Phase::kQuery);
   {
@@ -356,7 +361,6 @@ TEST(QueryTraceTest, TracedDivQueryBalancesAgainstRootTotals) {
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
   obs::QueryTrace trace;
-  trace.BindIoSources(&db.pool()->stats(), &db.disk()->stats());
   QueryContext ctx;
   ctx.trace = &trace;
 

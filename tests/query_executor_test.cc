@@ -159,10 +159,10 @@ TEST(QueryExecutorTest, ConcurrentThroughputHelperRuns) {
 }
 
 TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
-  // One QueryTrace per task (a trace serves one query at a time); the
-  // shared pool/disk counters race across workers, but the telescoping
+  // One QueryTrace per task (a trace serves one query at a time), bound by
+  // RunDivQuery to its worker context's counters: the telescoping
   // identity — sum of every span's exclusive share equals the root's
-  // inclusive total — holds per trace regardless, for time and I/O alike.
+  // inclusive total — holds per trace, for time and I/O alike.
   Database db(TinyPreset());
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;
@@ -182,7 +182,6 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
   std::vector<obs::QueryTrace> traces(wl.queries.size());
   for (size_t i = 0; i < wl.queries.size(); ++i) {
     obs::QueryTrace* trace = &traces[i];
-    trace->BindIoSources(&db.pool()->stats(), &db.disk()->stats());
     const WorkloadQuery* wq = &wl.queries[i];
     exec.SubmitWithContext([&db, wq, trace](QueryContext* ctx) {
       ctx->trace = trace;

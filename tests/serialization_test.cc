@@ -1,11 +1,16 @@
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "datagen/presets.h"
+#include "datagen/workload.h"
 #include "graph/serialization.h"
 #include "gtest/gtest.h"
+#include "harness/database.h"
+#include "storage_test_util.h"
 #include "tests/test_util.h"
 
 namespace dsks {
@@ -180,6 +185,75 @@ TEST(SerializationTest, SaveRequiresFinalizedDataset) {
   net.AddNode({1, 0});
   ObjectSet objs(&net);
   EXPECT_TRUE(SaveDataset(net, objs, TempPath("x.dsks")).IsInvalidArgument());
+}
+
+// A Database assembled from a saved and reloaded dataset answers exactly
+// like the Database that generated it: same SK ids and distance bits, same
+// diversified ids and objective bits, on both disk backends.
+TEST(LoadedDatabaseTest, AnswersBitIdenticalToGeneratingDatabase) {
+  DatasetConfig config = ScalePreset(PresetSYN(), 0.03);
+  config.objects.keywords_per_object = 6;
+  const std::string path = TempPath("loaded_db.dsks");
+  WorkloadConfig wc;
+  wc.num_queries = 12;
+  wc.num_keywords = 2;
+  wc.seed = 23;
+  IndexOptions index;
+  index.kind = IndexKind::kSIF;
+
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file backend" : "sim backend");
+    const DiskOptions generated_disk =
+        file ? testing::FileDiskOptions("generated") : DiskOptions{};
+    const DiskOptions loaded_disk =
+        file ? testing::FileDiskOptions("loaded") : DiskOptions{};
+    {
+      Database generated(config, generated_disk);
+      ASSERT_TRUE(
+          SaveDataset(generated.network(), generated.objects(), path).ok());
+      std::unique_ptr<RoadNetwork> net;
+      std::unique_ptr<ObjectSet> objects;
+      ASSERT_TRUE(LoadDataset(path, &net, &objects).ok());
+      Database loaded(std::move(net), std::move(objects), loaded_disk);
+      for (Database* db : {&generated, &loaded}) {
+        db->BuildIndex(index);
+        db->PrepareForQueries();
+      }
+
+      const Workload wl = GenerateWorkload(generated.objects(),
+                                           generated.term_stats(), wc);
+      size_t hits = 0;
+      for (const WorkloadQuery& wq : wl.queries) {
+        const std::vector<SkResult> want = generated.RunSkQuery(wq.sk, wq.edge);
+        const std::vector<SkResult> got = loaded.RunSkQuery(wq.sk, wq.edge);
+        ASSERT_EQ(got.size(), want.size());
+        hits += want.size();
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id);
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i].dist),
+                    std::bit_cast<uint64_t>(want[i].dist));
+        }
+        DivQuery dq;
+        dq.sk = wq.sk;
+        dq.k = 6;
+        dq.lambda = 0.8;
+        for (const bool use_com : {false, true}) {
+          const DivSearchOutput a = generated.RunDivQuery(dq, wq.edge, use_com);
+          const DivSearchOutput b = loaded.RunDivQuery(dq, wq.edge, use_com);
+          ASSERT_EQ(b.selected.size(), a.selected.size());
+          for (size_t i = 0; i < a.selected.size(); ++i) {
+            EXPECT_EQ(b.selected[i].id, a.selected[i].id);
+          }
+          EXPECT_EQ(std::bit_cast<uint64_t>(b.objective),
+                    std::bit_cast<uint64_t>(a.objective));
+        }
+      }
+      EXPECT_GT(hits, 0u) << "the workload exercised no results";
+    }
+    testing::RemoveDiskFiles(generated_disk);
+    testing::RemoveDiskFiles(loaded_disk);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "gtest/gtest.h"
 #include "harness/database.h"
 #include "harness/experiment.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -216,6 +217,38 @@ class ServerTest : public ::testing::Test {
 
 Database* ServerTest::db_ = nullptr;
 Workload* ServerTest::workload_ = nullptr;
+
+/// One HTTP GET over a fresh loopback connection; returns the whole
+/// response (the server closes after answering).
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string out;
+  char buf[16 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      break;
+    }
+    out.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+/// The body of an HTTP response (everything after the blank line).
+std::string HttpBody(const std::string& response) {
+  const size_t head_end = response.find("\r\n\r\n");
+  return head_end == std::string::npos ? "" : response.substr(head_end + 4);
+}
 
 TEST_F(ServerTest, ServiceRejectsMalformedRequestsBeforeAdmission) {
   ServiceConfig config;
@@ -550,27 +583,7 @@ TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
 
   // Plain HTTP GETs on the same port.
   const auto get = [&](const std::string& path) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-    EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(request.size()));
-    std::string out;
-    char buf[16 * 1024];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        break;
-      }
-      out.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return out;
+    return HttpGet(server.port(), path);
   };
 
   const std::string metrics = get("/metrics");
@@ -586,6 +599,175 @@ TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
 
   EXPECT_NE(get("/nope").find("404"), std::string::npos);
   server.Stop();
+}
+
+TEST_F(ServerTest, TelemetryRoutesServeRegistryAndRecorder) {
+  obs::MetricsRegistry registry;
+  registry.counter("executor.queries").Add(5);
+  registry.histogram("executor.query_ms").Record(2.0);
+  obs::FlightRecorder recorder;
+  obs::QuerySummary summary;
+  summary.total_ms = 7.0;
+  recorder.Record(summary);
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  sc.service.flight_recorder = &recorder;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+  ASSERT_GT(server.port(), 0);
+
+  const std::string metrics = HttpGet(server.port(), "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE dsks_executor_queries counter"),
+            std::string::npos)
+      << metrics;
+  // Query strings are stripped before routing (scrapers add them).
+  const std::string varz = HttpGet(server.port(), "/varz?pretty=1");
+  EXPECT_NE(varz.find("\"executor.queries\":5"), std::string::npos) << varz;
+
+  const std::string tracez = HttpGet(server.port(), "/tracez");
+  EXPECT_NE(tracez.find("200 OK"), std::string::npos) << tracez;
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse(HttpBody(tracez), &doc).ok()) << tracez;
+  ASSERT_NE(doc.Find("recorded"), nullptr) << tracez;
+  EXPECT_DOUBLE_EQ(doc.Find("recorded")->number(), 1.0);
+  EXPECT_NE(tracez.find("\"ms\":7.000000"), std::string::npos) << tracez;
+  server.Stop();
+}
+
+TEST_F(ServerTest, NullRecorderServes404ButStaysHealthy) {
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = nullptr;
+  sc.service.flight_recorder = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+  EXPECT_NE(HttpGet(server.port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "/metrics").find("404"), std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "/tracez").find("404"), std::string::npos);
+  server.Stop();
+}
+
+TEST_F(ServerTest, NonReadingHttpClientDoesNotDelayOthers) {
+  // A client that requests a large /varz and never reads the answer must
+  // not hold up anyone else: the poll loop parks its backlog and keeps
+  // serving other connections.
+  obs::MetricsRegistry registry;
+  // Hundreds of KB of body, more than a non-reading client's socket
+  // buffers take.
+  for (int i = 0; i < 4000; ++i) {
+    registry.counter("padding.counter." + std::to_string(i)).Add(1);
+  }
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  const int tiny = 4096;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /varz HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::send(stalled, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(server.port(), "/healthz");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_LT(waited_ms, 5000.0);
+  ::close(stalled);
+  server.Stop();
+}
+
+TEST_F(ServerTest, TwoServersOnOneRegistryServeDistinctPorts) {
+  obs::MetricsRegistry registry;
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  QueryServer a(db_, sc);
+  QueryServer b(db_, sc);
+  ASSERT_TRUE(a.Start(0).ok());
+  ASSERT_TRUE(b.Start(0).ok());
+  EXPECT_NE(a.port(), b.port());
+  EXPECT_NE(HttpGet(a.port(), "/healthz").find("200"), std::string::npos);
+  EXPECT_NE(HttpGet(b.port(), "/metrics").find("200"), std::string::npos);
+  // `a` stops explicitly, `b` through its destructor.
+  a.Stop();
+}
+
+TEST_F(ServerTest, PipelinedBurstGetsEveryAnswer) {
+  // 2000 short request lines written in one burst on one connection add up
+  // to far more than max_line_bytes. Every one is a valid line, so every
+  // id must get a response — OK or shed — and the connection must stay up.
+  ServerConfig sc;
+  sc.service.threads = 2;
+  sc.service.metrics = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  constexpr size_t kRequests = 2000;
+  std::string burst;
+  for (size_t i = 0; i < kRequests; ++i) {
+    burst += RequestLine(workload_->queries[i % workload_->queries.size()],
+                         std::to_string(i));
+    burst.push_back('\n');
+  }
+  ASSERT_GT(burst.size(), sc.max_line_bytes);
+
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  // Write from a second thread so the client can read while the server
+  // answers (neither side's socket buffers need to hold the whole burst).
+  std::thread writer([&] {
+    size_t sent = 0;
+    while (sent < burst.size()) {
+      const ssize_t n = ::send(client.fd(), burst.data() + sent,
+                               burst.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) {
+        return;
+      }
+      sent += static_cast<size_t>(n);
+    }
+  });
+  std::set<std::string> ids;
+  size_t ok = 0;
+  size_t shed = 0;
+  for (size_t i = 0; i < kRequests; ++i) {
+    std::string line;
+    const Status s = client.ReadLine(&line, /*timeout_ms=*/30000);
+    if (!s.ok()) {
+      ADD_FAILURE() << "connection lost after " << i << " responses: "
+                    << s.ToString();
+      break;
+    }
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::Parse(line, &doc).ok()) << line;
+    ASSERT_NE(doc.Find("id"), nullptr) << line;
+    ids.insert(doc.Find("id")->string_value());
+    const std::string status = StatusOf(line);
+    ok += status == "OK";
+    shed += status == "RESOURCE_EXHAUSTED";
+  }
+  writer.join();
+  EXPECT_EQ(ids.size(), kRequests);
+  EXPECT_EQ(ok + shed, kRequests);
+  const ServiceCounters c = server.counters();
+  server.Stop();
+  EXPECT_EQ(c.requests, kRequests);
+  EXPECT_EQ(c.shed, shed);
 }
 
 TEST_F(ServerTest, SocketOverloadShedsExactlyAndMetricsStayUp) {

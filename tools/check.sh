@@ -4,8 +4,9 @@
 # pass exercising storage fault injection under each sanitizer — then a
 # Release perf smoke that fails if bench_throughput's single-thread qps
 # dropped more than 25% below the committed
-# bench/baseline_throughput.json, plus a `dsks_cli chaos` smoke proving
-# the process survives injected faults. Usage:
+# bench/baseline_throughput.json, plus `dsks_cli query` and `dsks_cli
+# chaos` smokes (every query mode on a saved dataset; the process
+# survives injected faults). Usage:
 #
 #   tools/check.sh            # both sanitizers + perf smoke
 #   tools/check.sh thread     # just one sanitizer (skips the perf smoke)
@@ -160,6 +161,36 @@ EOF
     > build-perf/metrics_smoke.json
   python3 tools/perf_gate.py validate-metrics build-perf/metrics_smoke.json
   echo "=== obs smoke: OK ==="
+
+  # Query smoke: `dsks_cli query` on a saved dataset in every mode with
+  # --trace. Each run must exit 0, and its trace check must attribute
+  # every page read of the query to a phase. Unknown --index and --mode
+  # values must exit 2.
+  echo "=== query smoke: dsks_cli query on a saved SYN dataset ==="
+  ./build-perf/tools/dsks_cli generate --preset SYN --scale 0.03 \
+    --out build-perf/query_smoke.dsks > /dev/null
+  for mode in boolean knn ranked div-seq div-com; do
+    ./build-perf/tools/dsks_cli query --data build-perf/query_smoke.dsks \
+      --terms 1,2 --mode "$mode" --trace > build-perf/query_smoke.out
+    line="$(grep '^trace check:' build-perf/query_smoke.out || true)"
+    if ! [[ "$line" =~ phase\ reads\ ([0-9]+)\ /\ query\ reads\ ([0-9]+) ]] ||
+       [ "${BASH_REMATCH[1]}" != "${BASH_REMATCH[2]}" ]; then
+      echo "query smoke: $mode: unbalanced trace check '$line'" >&2
+      exit 1
+    fi
+    echo "query smoke: $mode: $line"
+  done
+  for bad in "--index bogus" "--mode bogus"; do
+    status=0
+    # shellcheck disable=SC2086  # $bad is a flag and its value
+    ./build-perf/tools/dsks_cli query --data build-perf/query_smoke.dsks \
+      --terms 1,2 $bad 2> /dev/null || status=$?
+    if [ "$status" != 2 ]; then
+      echo "query smoke: '$bad' exited $status, want 2" >&2
+      exit 1
+    fi
+  done
+  echo "=== query smoke: OK ==="
 
   # Chaos smoke: a Release-build workload under injected read faults must
   # exit 0 with its failures accounted — queries fail, the process does not.

@@ -9,8 +9,9 @@
 //             [--k K] [--mode boolean|knn|ranked|div-seq|div-com]
 //             [--lambda L] [--alpha A] [--threads N] [--repeat R]
 //             [--trace [json]]
-//       Load a dataset, build the index, run one query. The query point
-//       defaults to the location of object --object-loc (default 0).
+//       Load a dataset into a Database, build the index, run one query.
+//       The query point defaults to the location of object --object-loc
+//       (default 0). Unknown --index or --mode values exit 2.
 //       With --threads N > 1, additionally re-runs the query R times
 //       (default 64 per thread) on an N-thread QueryExecutor sharing the
 //       index and buffer pool, and reports aggregate throughput.
@@ -24,10 +25,10 @@
 //   dsks_cli serve-stats [--port P] [--scale F] [--index sif] [--threads N]
 //             [--queries N] [--sample N] [--slow-ms F] [--duration-ms N]
 //       Build a synthetic database, run a continuous sampled-traced
-//       workload, and serve live telemetry over HTTP: /metrics
-//       (Prometheus), /varz (JSON registry), /tracez (flight recorder),
-//       /healthz. --port 0 picks an ephemeral port (printed on stdout);
-//       --duration-ms 0 serves until killed.
+//       workload, and serve live telemetry from a query server's HTTP
+//       routes: /metrics (Prometheus), /varz (JSON registry), /tracez
+//       (flight recorder), /healthz. --port 0 picks an ephemeral port
+//       (printed on stdout); --duration-ms 0 serves until killed.
 //   dsks_cli chaos [--scale F] [--index sif] [--queries N] [--threads N]
 //             [--read-fault-p P] [--write-fault-p P] [--corrupt-p P]
 //             [--seed S] [--retries R] [--socket]
@@ -74,29 +75,16 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "datagen/network_generator.h"
+#include "datagen/object_generator.h"
 #include "datagen/presets.h"
 #include "datagen/workload.h"
 #include "graph/serialization.h"
 #include "harness/database.h"
 #include "harness/query_executor.h"
-#include "index/inverted_file.h"
-#include "index/inverted_rtree.h"
-#include "index/sif.h"
-#include "index/sif_group.h"
-#include "index/sif_partitioned.h"
-#include "core/distance_oracle.h"
-#include "core/div_search.h"
-#include "core/ranked_search.h"
-#include "graph/ccam.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "datagen/network_generator.h"
-#include "datagen/object_generator.h"
-#include "index/query_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -360,31 +348,110 @@ std::vector<TermId> ParseTerms(const std::string& csv) {
   return terms;
 }
 
+/// The --index choice; an unknown name prints the choices and exits 2.
+IndexOptions IndexOptionsByName(const std::string& index_name) {
+  static const std::map<std::string, IndexKind> kKinds = {
+      {"ir", IndexKind::kIR},     {"if", IndexKind::kIF},
+      {"sif", IndexKind::kSIF},   {"sifp", IndexKind::kSIFP},
+      {"sifg", IndexKind::kSIFG},
+  };
+  const auto it = kKinds.find(index_name);
+  if (it == kKinds.end()) {
+    std::fprintf(stderr,
+                 "--index: want 'ir', 'if', 'sif', 'sifp' or 'sifg', "
+                 "got '%s'\n",
+                 index_name.c_str());
+    std::exit(2);
+  }
+  IndexOptions opts;
+  opts.kind = it->second;
+  return opts;
+}
+
+/// One `dsks_cli query` request, parsed from the flags.
+struct CliQuery {
+  std::string mode;
+  SkQuery sk;
+  QueryEdgeInfo edge;
+  size_t k = 10;
+  double alpha = 0.5;
+  double lambda = 0.8;
+};
+
+/// Runs `q` on `db` in its mode and, with `print`, prints the results.
+/// The single run and the --threads rerun share this dispatch.
+Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx,
+                   bool print) {
+  if (q.mode == "knn") {
+    std::vector<SkResult> res;
+    const Status s = db->RunKnnQuery(q.sk, q.edge, q.k, &res, ctx);
+    for (size_t i = 0; print && i < res.size(); ++i) {
+      std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
+    }
+    return s;
+  }
+  if (q.mode == "ranked") {
+    RankedQuery rq;
+    rq.sk = q.sk;
+    rq.k = q.k;
+    rq.alpha = q.alpha;
+    std::vector<RankedResult> res;
+    const Status s = db->RunRankedQuery(rq, q.edge, &res, ctx);
+    for (size_t i = 0; print && i < res.size(); ++i) {
+      const RankedResult& r = res[i];
+      std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
+                  r.id, r.dist, r.matched, q.sk.terms.size(), r.score);
+    }
+    return s;
+  }
+  if (q.mode == "div-seq" || q.mode == "div-com") {
+    DivQuery dq;
+    dq.sk = q.sk;
+    dq.k = q.k;
+    dq.lambda = q.lambda;
+    DivSearchOutput out;
+    const Status s =
+        db->RunDivQuery(dq, q.edge, q.mode == "div-com", &out, ctx);
+    if (print) {
+      std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
+                  static_cast<unsigned long>(out.stats.candidates),
+                  out.stats.early_terminated ? " (early termination)" : "");
+      for (const SkResult& r : out.selected) {
+        std::printf("  object %u  dist %.1f\n", r.id, r.dist);
+      }
+    }
+    return s;
+  }
+  std::vector<SkResult> res;
+  const Status s = db->RunSkQuery(q.sk, q.edge, &res, ctx);
+  if (print) {
+    for (size_t i = 0; i < res.size() && i < 20; ++i) {
+      std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
+    }
+    if (res.size() > 20) {
+      std::printf("  ... and %zu more\n", res.size() - 20);
+    }
+    std::printf("%zu objects satisfy the query\n", res.size());
+  }
+  return s;
+}
+
 int CmdQuery(const Args& args) {
   const std::string path = args.Get("data", "");
   const std::string terms_csv = args.Get("terms", "");
   if (path.empty() || terms_csv.empty()) {
     return Usage();
   }
-  // Loading through the serialization path, then wrapping into a Database
-  // would duplicate the dataset; the CLI builds the stack directly.
-  std::unique_ptr<RoadNetwork> net;
-  std::unique_ptr<ObjectSet> objects;
-  Status s = LoadDataset(path, &net, &objects);
-  if (!s.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
-    return 1;
+  CliQuery cq;
+  cq.mode = args.Get("mode", "boolean");
+  if (cq.mode != "boolean" && cq.mode != "knn" && cq.mode != "ranked" &&
+      cq.mode != "div-seq" && cq.mode != "div-com") {
+    std::fprintf(stderr,
+                 "--mode: want 'boolean', 'knn', 'ranked', 'div-seq' or "
+                 "'div-com', got '%s'\n",
+                 cq.mode.c_str());
+    return 2;
   }
-  size_t vocab = 0;
-  for (const auto& o : objects->objects()) {
-    for (TermId t : o.terms) {
-      vocab = std::max<size_t>(vocab, t + 1);
-    }
-  }
-
-  CliBackend backend(args);
-  DiskManager disk(backend.options());
-  BufferPool pool(&disk, 1u << 16);
   // --prefetch off pins the pool to demand-only reads — the A/B knob for
   // attributing a query's I/O behavior to speculative batching.
   const std::string prefetch = args.Get("prefetch", "on");
@@ -393,142 +460,66 @@ int CmdQuery(const Args& args) {
                  prefetch.c_str());
     return 2;
   }
-  pool.set_prefetch_enabled(prefetch == "on");
-  const CcamFile ccam = CcamFileBuilder::Build(*net, &disk);
-  CcamGraph graph(&ccam, &pool);
+  const IndexOptions index_options =
+      IndexOptionsByName(args.Get("index", "sif"));
+  cq.k = args.GetSize("k", 10, 1, 1u << 20);
+  cq.alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
+  cq.lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
+  cq.sk.terms = ParseTerms(terms_csv);
+  cq.sk.delta_max = args.GetDouble("delta", 1500.0, 1e-9, 1e12);
+  const size_t threads = args.GetSize("threads", 1, 1, 1024);
+  const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
 
-  const std::string index_name = args.Get("index", "sif");
-  std::unique_ptr<ObjectIndex> index;
-  Timer build_timer;
-  if (index_name == "ir") {
-    index = std::make_unique<InvertedRTreeIndex>(&pool, *objects, vocab);
-  } else if (index_name == "if") {
-    index = std::make_unique<InvertedFileIndex>(&pool, *objects, vocab);
-  } else if (index_name == "sifp") {
-    SifPConfig cfg;
-    cfg.log_provider =
-        MakeQueryLogProvider(QueryLogMode::kFrequency, {}, 3, 8, 1);
-    index =
-        std::make_unique<SifPartitionedIndex>(&pool, *objects, vocab, cfg);
-  } else if (index_name == "sifg") {
-    index = std::make_unique<SifGroupIndex>(&pool, *objects, vocab, 25);
-  } else {
-    index = std::make_unique<SifIndex>(&pool, *objects, vocab);
+  std::unique_ptr<RoadNetwork> net;
+  std::unique_ptr<ObjectSet> objects;
+  if (const Status s = LoadDataset(path, &net, &objects); !s.ok()) {
+    std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
+    return 1;
   }
-  std::printf("built %s in %.0f ms (%.1f MB)\n", index->name().c_str(),
-              build_timer.ElapsedMillis(),
-              static_cast<double>(index->SizeBytes()) / 1048576.0);
+  CliBackend backend(args);
+  Database db(std::move(net), std::move(objects), backend.options());
+  db.SetPrefetchEnabled(prefetch == "on");
+  const Database::IndexBuildInfo built = db.BuildIndex(index_options);
+  std::printf("built %s in %.0f ms (%.1f MB)\n", db.index()->name().c_str(),
+              built.build_millis,
+              static_cast<double>(built.size_bytes) / 1048576.0);
 
-  const auto& anchor = objects->object(static_cast<ObjectId>(
-      args.GetSize("object-loc", 0, 0, SIZE_MAX) % objects->size()));
-  SkQuery q;
-  q.loc = NetworkLocation{anchor.edge, anchor.offset};
-  q.terms = ParseTerms(terms_csv);
-  q.delta_max = args.GetDouble("delta", 1500.0, 1e-9, 1e12);
+  const auto& anchor = db.objects().object(static_cast<ObjectId>(
+      args.GetSize("object-loc", 0, 0, SIZE_MAX) % db.objects().size()));
+  cq.sk.loc = NetworkLocation{anchor.edge, anchor.offset};
   // The API boundary: a malformed query is an error message plus a nonzero
   // exit, never an abort inside the search.
-  if (const Status qs = NormalizeSkQuery(&q); !qs.ok()) {
+  if (const Status qs = NormalizeSkQuery(&cq.sk); !qs.ok()) {
     std::fprintf(stderr, "invalid query: %s\n", qs.ToString().c_str());
     return 2;
   }
-  const QueryEdgeInfo qe = MakeQueryEdgeInfo(*net, q.loc);
-  const std::string mode = args.Get("mode", "boolean");
-  const size_t k = args.GetSize("k", 10, 1, 1u << 20);
+  cq.edge = MakeQueryEdgeInfo(db.network(), cq.sk.loc);
 
-  // --trace: per-phase spans with pool/disk counter deltas. knn/ranked run
-  // through search paths without a QueryContext, so only their end-to-end
-  // root span is recorded; boolean and div modes get the full phase tree.
+  // --trace: per-phase spans with the query's own pool/disk counter
+  // deltas (Database binds the trace to the context's counters). knn and
+  // ranked record only their root span; boolean and div modes get the
+  // full phase tree.
   const bool traced = args.Has("trace");
   obs::QueryTrace trace;
-  obs::QueryTrace* trace_ptr = nullptr;
-  QueryContext cli_ctx;
-  if (traced) {
-    // The trace snapshots the context's per-query attribution counters,
-    // charged through the thread-affine account installed below — exact
-    // even if other threads shared this pool.
-    trace.BindContextIo(&cli_ctx.io);
-    trace_ptr = &trace;
-  }
-  cli_ctx.trace = trace_ptr;
-  obs::ScopedIoAccount io_account(&cli_ctx.io);
+  QueryContext ctx;
+  ctx.trace = traced ? &trace : nullptr;
 
-  const uint64_t reads_before = disk.stats().reads.load();
-  const uint64_t prefetched_before = pool.stats().prefetch_issued.load();
+  const uint64_t reads_before = db.disk()->stats().reads.load();
+  const uint64_t prefetched_before =
+      db.pool()->stats().prefetch_issued.load();
   Timer timer;
-  uint32_t root_span = 0;
-  if (trace_ptr != nullptr) {
-    root_span = trace.OpenSpan(obs::Phase::kQuery);
-  }
-  // A storage error fails the query, not the process: remember it, close
+  // A storage error fails the query, not the process: remember it, report
   // the trace normally (its spans are the partial-work account) and exit
   // nonzero at the end.
-  Status query_status;
-  if (mode == "knn") {
-    std::vector<SkResult> res;
-    query_status = BooleanKnnSearch(&graph, index.get(), q, qe, k, &res);
-    for (const auto& r : res) {
-      std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-    }
-  } else if (mode == "ranked") {
-    RankedQuery rq;
-    rq.sk = q;
-    rq.k = k;
-    rq.alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
-    std::vector<RankedResult> res;
-    query_status = RankedSkSearch(&graph, index.get(), rq, qe, &res);
-    for (const auto& r : res) {
-      std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
-                  r.id, r.dist, r.matched, q.terms.size(), r.score);
-    }
-  } else if (mode == "div-seq" || mode == "div-com") {
-    DivQuery dq;
-    dq.sk = q;
-    dq.k = k;
-    dq.lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
-    IncrementalSkSearch search(&graph, index.get(), dq.sk, qe, &cli_ctx);
-    PairwiseDistanceOracle oracle(&graph, 2.0 * q.delta_max,
-                                  OracleStrategy::kSharedExpansion, &cli_ctx);
-    oracle.SetQueryEdge(qe);
-    const DivSearchOutput out = mode == "div-com"
-                                    ? DiversifiedSearchCOM(&search, dq, &oracle)
-                                    : DiversifiedSearchSEQ(&search, dq,
-                                                           &oracle);
-    query_status = out.status;
-    std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
-                static_cast<unsigned long>(out.stats.candidates),
-                out.stats.early_terminated ? " (early termination)" : "");
-    for (const auto& r : out.selected) {
-      std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-    }
-  } else {
-    IncrementalSkSearch search(&graph, index.get(), q, qe, &cli_ctx);
-    SkResult r;
-    size_t count = 0;
-    while (search.Next(&r)) {
-      if (count < 20) {
-        std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-      }
-      ++count;
-    }
-    query_status = search.status();
-    if (count > 20) {
-      std::printf("  ... and %zu more\n", count - 20);
-    }
-    std::printf("%zu objects satisfy the query\n", count);
-  }
-  if (trace_ptr != nullptr) {
-    if (!query_status.ok()) {
-      trace.MarkError(query_status.code_name());
-    }
-    trace.CloseSpan(root_span);
-  }
+  const Status query_status = RunCliQuery(&db, cq, &ctx, /*print=*/true);
   const double query_millis = timer.ElapsedMillis();
-  const uint64_t query_reads = disk.stats().reads.load() - reads_before;
+  const uint64_t query_reads = db.disk()->stats().reads.load() - reads_before;
   std::printf("query time %.1f ms, %lu page reads, %lu prefetched\n",
               query_millis, static_cast<unsigned long>(query_reads),
               static_cast<unsigned long>(
-                  pool.stats().prefetch_issued.load() - prefetched_before));
-  if (traced) {
+                  db.pool()->stats().prefetch_issued.load() -
+                  prefetched_before));
+  if (traced && !trace.spans().empty()) {
     if (args.Get("trace", "") == "json") {
       std::printf("%s\n", trace.ToJson().c_str());
     } else {
@@ -537,7 +528,7 @@ int CmdQuery(const Args& args) {
     // Per-phase exclusive totals telescope exactly to the root span; the
     // remaining gap is only root-vs-wall (timer/printf overhead outside
     // the span), reported so drift is visible.
-    const obs::TraceSpan& rs = trace.spans()[root_span];
+    const obs::TraceSpan& rs = trace.spans().front();
     int64_t phase_ns = 0;
     uint64_t phase_reads = 0;
     for (const auto& t : trace.AggregateByPhase()) {
@@ -555,49 +546,14 @@ int CmdQuery(const Args& args) {
 
   // Optional concurrent re-run: the storage layer is concurrent-reader
   // safe, so N workers can hammer the same index and buffer pool.
-  const size_t threads = args.GetSize("threads", 1, 1, 1024);
   if (threads > 1) {
-    const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
-    const double alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
-    const double lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
     ExecutorConfig config;
     config.num_threads = threads;
     QueryExecutor exec(config);
     Timer wall;
     for (size_t i = 0; i < threads * repeat; ++i) {
-      exec.SubmitQuery([&graph, &index, &q, &qe, mode, k, alpha,
-                        lambda](QueryContext* ctx) {
-        if (mode == "knn") {
-          std::vector<SkResult> res;
-          return BooleanKnnSearch(&graph, index.get(), q, qe, k, &res);
-        }
-        if (mode == "ranked") {
-          RankedQuery rq;
-          rq.sk = q;
-          rq.k = k;
-          rq.alpha = alpha;
-          std::vector<RankedResult> res;
-          return RankedSkSearch(&graph, index.get(), rq, qe, &res);
-        }
-        if (mode == "div-seq" || mode == "div-com") {
-          DivQuery dq;
-          dq.sk = q;
-          dq.k = k;
-          dq.lambda = lambda;
-          IncrementalSkSearch search(&graph, index.get(), dq.sk, qe, ctx);
-          PairwiseDistanceOracle oracle(&graph, 2.0 * q.delta_max,
-                                        OracleStrategy::kSharedExpansion, ctx);
-          oracle.SetQueryEdge(qe);
-          const DivSearchOutput out =
-              mode == "div-com" ? DiversifiedSearchCOM(&search, dq, &oracle)
-                                : DiversifiedSearchSEQ(&search, dq, &oracle);
-          return out.status;
-        }
-        IncrementalSkSearch search(&graph, index.get(), q, qe, ctx);
-        SkResult r;
-        while (search.Next(&r)) {
-        }
-        return search.status();
+      exec.SubmitQuery([&db, &cq](QueryContext* worker_ctx) {
+        return RunCliQuery(&db, cq, worker_ctx, /*print=*/false);
       });
     }
     QueryExecutor::DrainResult drained = exec.Drain();
@@ -617,22 +573,6 @@ int CmdQuery(const Args& args) {
     return 1;
   }
   return 0;
-}
-
-IndexOptions IndexOptionsByName(const std::string& index_name) {
-  IndexOptions opts;
-  if (index_name == "ir") {
-    opts.kind = IndexKind::kIR;
-  } else if (index_name == "if") {
-    opts.kind = IndexKind::kIF;
-  } else if (index_name == "sifp") {
-    opts.kind = IndexKind::kSIFP;
-  } else if (index_name == "sifg") {
-    opts.kind = IndexKind::kSIFG;
-  } else {
-    opts.kind = IndexKind::kSIF;
-  }
-  return opts;
 }
 
 int CmdMetrics(const Args& args) {
@@ -679,9 +619,9 @@ int CmdMetrics(const Args& args) {
 }
 
 int CmdServeStats(const Args& args) {
-  // A live telemetry demo and the forerunner of the query-service front
-  // end: synthetic database, continuous sampled-traced workload, stats
-  // endpoint on loopback.
+  // A live telemetry demo: synthetic database, continuous sampled-traced
+  // workload, and a query server on loopback whose HTTP routes serve the
+  // registry and the flight recorder.
   const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
   const auto port =
       static_cast<uint16_t>(args.GetSize("port", 0, 0, 65535));
@@ -703,7 +643,10 @@ int CmdServeStats(const Args& args) {
   obs::FlightRecorder recorder;
   recorder.set_occupancy_gauge(
       &registry.gauge("dsks.flight_recorder.entries"));
-  obs::StatsServer server(&registry, &recorder);
+  server::ServerConfig sc;
+  sc.service.metrics = &registry;
+  sc.service.flight_recorder = &recorder;
+  server::QueryServer server(&db, sc);
   if (const Status s = server.Start(port); !s.ok()) {
     std::fprintf(stderr, "stats server failed to start: %s\n",
                  s.ToString().c_str());
