@@ -64,49 +64,12 @@ class BenchBackend {
       owns_files_ = true;
       // O_DIRECT bypasses the OS page cache, so "cold" really means the
       // device: without it a cold-cache A/B on a warm page cache measures
-      // memcpy, not I/O overlap.
+      // memcpy, not device reads.
       options_.o_direct = o_direct;
     } else if (!name.empty() && name != "sim") {
       std::fprintf(stderr, "--backend: want 'sim' or 'file', got '%s'\n",
                    name.c_str());
       std::exit(2);
-    }
-
-    // I/O regime, same flag-beats-env precedence: `--io=async` serves
-    // speculative reads on an async engine (io_uring or worker pool);
-    // `--io-depth=N` bounds pages in flight. Like the backend, the regime
-    // is stamped into every JSON record — sync and async numbers are
-    // different experiments.
-    std::string io;
-    if (const char* env = std::getenv("DSKS_BENCH_IO")) {
-      io = env;
-    }
-    std::string depth;
-    if (const char* env = std::getenv("DSKS_BENCH_IO_DEPTH")) {
-      depth = env;
-    }
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--io=", 5) == 0) {
-        io = argv[i] + 5;
-      } else if (std::strncmp(argv[i], "--io-depth=", 11) == 0) {
-        depth = argv[i] + 11;
-      }
-    }
-    if (io == "async") {
-      options_.io = IoMode::kAsync;
-    } else if (!io.empty() && io != "sync") {
-      std::fprintf(stderr, "--io: want 'sync' or 'async', got '%s'\n",
-                   io.c_str());
-      std::exit(2);
-    }
-    if (!depth.empty()) {
-      const long long d = std::atoll(depth.c_str());
-      if (d < 1) {
-        std::fprintf(stderr, "--io-depth: want >= 1, got '%s'\n",
-                     depth.c_str());
-        std::exit(2);
-      }
-      options_.io_depth = static_cast<size_t>(d);
     }
   }
   ~BenchBackend() {

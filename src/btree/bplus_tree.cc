@@ -410,15 +410,9 @@ Status BPlusTree::RangeScan(
   // Readahead window: how many leaves past the cursor's first leaf are
   // speculatively pulled in one batch. Leaves hold ~250 entries, so eight
   // pages cover ~2000 upcoming range entries — deep enough to hide the
-  // chain walk's I/O, small next to the paper's 2% pool. With an async
-  // disk engine the submission never blocks the scan, so the window
-  // doubles to keep more of the leaf chain in flight ahead of the cursor.
-  constexpr size_t kScanReadaheadSync = 8;
-  constexpr size_t kScanReadaheadAsync = 16;
-  const size_t scan_readahead = pool_->disk()->async_enabled()
-                                    ? kScanReadaheadAsync
-                                    : kScanReadaheadSync;
-  PageId readahead[kScanReadaheadAsync];
+  // chain walk's I/O, small next to the paper's 2% pool.
+  constexpr size_t kScanReadahead = 8;
+  PageId readahead[kScanReadahead];
   size_t n_readahead = 0;
   PageId leaf = kInvalidPageId;
   {
@@ -439,7 +433,7 @@ Status BPlusTree::RangeScan(
       const size_t n = Count(p);
       n_readahead = 0;
       for (size_t j = slot + 1;
-           j <= n && n_readahead < scan_readahead; ++j) {
+           j <= n && n_readahead < kScanReadahead; ++j) {
         if (InternalKey(p, j - 1) > hi) {
           break;
         }

@@ -24,28 +24,17 @@ constexpr double kCertSlack = 1e-9;
 /// the heap's shallow layers — a sample of the nodes this Dijkstra pass
 /// settles next. Purely advisory: the pool drops failures and the pass
 /// never waits, so settled distances are bit-identical either way.
-/// Like sk_search, an async disk engine gets a deeper issue window —
-/// twice the sample at half the interval — since submission never blocks.
-constexpr size_t kPrefetchIntervalSync = 32;
-constexpr size_t kPrefetchIntervalAsync = 16;
-constexpr size_t kFrontierSampleSync = 16;
-constexpr size_t kFrontierSampleAsync = 32;
-
-size_t PrefetchInterval(const CcamGraph& graph) {
-  return graph.async_prefetch() ? kPrefetchIntervalAsync
-                                : kPrefetchIntervalSync;
-}
+constexpr size_t kPrefetchInterval = 32;
+constexpr size_t kFrontierSample = 16;
 
 void PrefetchFrontier(const CcamGraph& graph,
                       const ReusableMinHeap<std::pair<double, uint32_t>>& heap) {
-  const size_t sample =
-      graph.async_prefetch() ? kFrontierSampleAsync : kFrontierSampleSync;
   const std::vector<std::pair<double, uint32_t>>& entries = heap.storage();
-  const size_t n = entries.size() < sample ? entries.size() : sample;
+  const size_t n = std::min(entries.size(), kFrontierSample);
   if (n == 0) {
     return;
   }
-  NodeId nodes[kFrontierSampleAsync];
+  NodeId nodes[kFrontierSample];
   for (size_t i = 0; i < n; ++i) {
     nodes[i] = entries[i].second;
   }
@@ -130,7 +119,7 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
       continue;
     }
     field.try_emplace(v, d);
-    if (++settles % PrefetchInterval(*graph_) == 0) {
+    if (++settles % kPrefetchInterval == 0) {
       // Same settle-batch deadline poll as the SK expansion: a cancelled
       // query leaves a partial field (safe — distances only fall back to
       // the radius cap) and a sticky CANCELLED status the caller checks.
@@ -211,7 +200,7 @@ void PairwiseDistanceOracle::BuildSharedField() {
     o_->parent_local.push_back(parent == kInvalidNodeId
                                    ? UINT32_MAX
                                    : o_->local_index.Get(parent));
-    if (o_->order.size() % PrefetchInterval(*graph_) == 0) {
+    if (o_->order.size() % kPrefetchInterval == 0) {
       if (ctx_->DeadlineExceeded()) {
         if (status_.ok()) {
           status_ = Status::Cancelled("query deadline exceeded in oracle");

@@ -17,29 +17,17 @@ namespace {
 /// the heap's shallow layers — a sample of the nodes Dijkstra settles next.
 /// Purely advisory: the pool drops failures and the expansion never waits,
 /// so settled distances are bit-identical with prefetching on or off.
-/// Under an async disk engine the submission is fire-and-forget, so the
-/// issuer runs further ahead: twice the sample at half the interval keeps
-/// the in-flight window full without ever blocking a settle.
-constexpr uint64_t kPrefetchIntervalSync = 32;
-constexpr uint64_t kPrefetchIntervalAsync = 16;
-constexpr size_t kFrontierSampleSync = 16;
-constexpr size_t kFrontierSampleAsync = 32;
-
-uint64_t PrefetchInterval(const CcamGraph& graph) {
-  return graph.async_prefetch() ? kPrefetchIntervalAsync
-                                : kPrefetchIntervalSync;
-}
+constexpr uint64_t kPrefetchInterval = 32;
+constexpr size_t kFrontierSample = 16;
 
 void PrefetchFrontier(const CcamGraph& graph,
                       const ReusableMinHeap<std::pair<double, uint32_t>>& heap) {
-  const size_t sample =
-      graph.async_prefetch() ? kFrontierSampleAsync : kFrontierSampleSync;
   const std::vector<std::pair<double, uint32_t>>& entries = heap.storage();
-  const size_t n = entries.size() < sample ? entries.size() : sample;
+  const size_t n = std::min(entries.size(), kFrontierSample);
   if (n == 0) {
     return;
   }
-  NodeId nodes[kFrontierSampleAsync];
+  NodeId nodes[kFrontierSample];
   for (size_t i = 0; i < n; ++i) {
     nodes[i] = entries[i].second;
   }
@@ -226,7 +214,7 @@ bool IncrementalSkSearch::ExpandOneNode() {
   s_->node_heap.pop();
   s_->settled.Set(v, d);
   ++stats_.nodes_settled;
-  if (stats_.nodes_settled % PrefetchInterval(*graph_) == 0) {
+  if (stats_.nodes_settled % kPrefetchInterval == 0) {
     // Deadline poll shares the settle-batch cadence with the prefetch
     // issuer: one clock read per batch, never per node. The spans and I/O
     // recorded so far remain as the cancelled query's partial-work account.

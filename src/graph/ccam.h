@@ -90,9 +90,7 @@ double CcamConnectivityRatio(const RoadNetwork& net, const CcamFile& file);
 class CcamGraph {
  public:
   CcamGraph(const CcamFile* file, BufferPool* pool)
-      : file_(file),
-        pool_(pool),
-        async_prefetch_(pool != nullptr && pool->disk()->async_enabled()) {}
+      : file_(file), pool_(pool) {}
 
   /// Appends node `id`'s adjacency list to `out` (cleared first).
   /// Propagates disk errors (IOError/Corruption) from the page fetch and
@@ -107,19 +105,11 @@ class CcamGraph {
   /// a query, and results are bit-identical with or without it.
   void PrefetchNodes(std::span<const NodeId> nodes) const;
 
-  /// True when speculative reads complete off-thread (async disk engine).
-  /// Issuers use this to run deeper prefetch windows: with fire-and-forget
-  /// submission a bigger burst costs nothing on the query thread, whereas
-  /// under sync I/O the same burst would block the expansion that issued
-  /// it. Fixed at construction — the disk's engine never changes.
-  bool async_prefetch() const { return async_prefetch_; }
-
   size_t num_nodes() const { return file_->num_nodes(); }
 
  private:
   const CcamFile* file_;
   BufferPool* pool_;
-  const bool async_prefetch_;
 };
 
 }  // namespace dsks

@@ -143,13 +143,8 @@ Status PostingFile::ReadRun(Locator locator, std::vector<Entry>* out) const {
 void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
   // Bounded like the other speculative readers: enough for a keyword
   // conjunction's runs on one edge, small next to the paper's 2% pool.
-  // An async disk engine completes the burst off-thread, so the cap
-  // doubles — long multi-run conjunctions stay fully in flight.
-  constexpr size_t kMaxPrefetchPagesSync = 32;
-  constexpr size_t kMaxPrefetchPagesAsync = 64;
-  const size_t cap = pool_->disk()->async_enabled() ? kMaxPrefetchPagesAsync
-                                                    : kMaxPrefetchPagesSync;
-  PageId pages[kMaxPrefetchPagesAsync];
+  constexpr size_t kMaxPrefetchPages = 32;
+  PageId pages[kMaxPrefetchPages];
   size_t n = 0;
   for (const Locator loc : locators) {
     PageId page;
@@ -158,7 +153,7 @@ void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
     UnpackLocator(loc, &page, &slot, &count);
     const size_t span_pages =
         (slot + count + kEntriesPerPage - 1) / kEntriesPerPage;
-    for (size_t i = 0; i < span_pages && n < cap; ++i) {
+    for (size_t i = 0; i < span_pages && n < kMaxPrefetchPages; ++i) {
       const PageId pid = page + static_cast<PageId>(i);
       bool seen = false;
       for (size_t j = 0; j < n; ++j) {
@@ -171,7 +166,7 @@ void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
         pages[n++] = pid;
       }
     }
-    if (n >= cap) {
+    if (n >= kMaxPrefetchPages) {
       break;
     }
   }

@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -16,10 +18,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity)
 }
 
 BufferPool::~BufferPool() {
-  // Async completions touch pool state under the latch; drain the engine
-  // first so no reaper callback can land on a pool mid-teardown. Blocks
-  // until every in-flight completion has fully returned.
-  disk_->DrainAsyncReads();
 #ifndef NDEBUG
   for (const auto& [id, frame] : frames_) {
     DSKS_DCHECK_MSG(frame.pin_count == 0,
@@ -215,13 +213,15 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   if (ids.empty() || !prefetch_enabled_.load(std::memory_order_relaxed)) {
     return;
   }
-  const bool async = disk_->async_enabled();
-  const size_t io_depth = disk_->io_depth();
+  // Issuers pass at most a few dozen ids; capping the span keeps the
+  // requests below on the stack.
+  ids = ids.first(std::min(ids.size(), kMaxPrefetchBatch));
   const size_t allocated = disk_->num_pages();
-  std::unique_lock<std::mutex> lock(latch_);
-  std::vector<PageReadRequest> reqs;
-  reqs.reserve(ids.size());
+  PageReadRequest reqs[kMaxPrefetchBatch];
+  size_t n = 0;
   size_t refused = 0;  // pinned-and-dirty pages: counted no-ops
+  std::unique_lock<std::mutex> lock(latch_);
+  // Step 1, under the latch: classify. Missing pages get in-flight frames.
   for (PageId id : ids) {
     if (id >= allocated) {
       continue;  // speculative callers may guess past the watermark
@@ -231,19 +231,12 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
       // Resident or already in flight (ours or another thread's): nothing
       // to do, and never wait — prefetch must not block. A frame pinned
       // *and dirty* additionally gets counted: its writer holds newer
-      // bytes than the disk, so a queued speculative read could only ever
-      // race the write-back with stale data. Issued-and-dropped keeps the
+      // bytes than the disk, so a speculative read could only ever race
+      // the write-back with stale data. Issued-and-dropped keeps the
       // lifecycle telescope exact without a device read.
       if (frame->pin_count > 0 && frame->dirty) {
         ++refused;
       }
-      continue;
-    }
-    if (async &&
-        prefetch_inflight_.load(std::memory_order_relaxed) + reqs.size() >=
-            io_depth) {
-      // In-flight window full: skip silently, like a resident page. The
-      // issuer re-requests anything still useful on its next interval.
       continue;
     }
     if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
@@ -253,75 +246,60 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     f.data = std::make_unique<char[]>(kPageSize);
     f.page_id = id;
     // Pinned while in flight so eviction/Clear can't touch the frame; the
-    // pin drops when the completion publishes it.
+    // pin drops when the frame is published below.
     f.pin_count = 1;
     f.dirty = false;
     f.in_lru = false;
     f.io_in_progress = true;
-    PageReadRequest req;
-    req.id = id;
-    req.out = f.data.get();
-    reqs.push_back(req);
+    reqs[n].id = id;
+    reqs[n].out = f.data.get();
+    ++n;
   }
   if (refused > 0) {
     stats_.prefetch_issued.fetch_add(refused, std::memory_order_relaxed);
     stats_.prefetch_dropped.fetch_add(refused, std::memory_order_relaxed);
     obs::ChargePrefetchIssued(refused);
   }
-  if (reqs.empty()) {
+  if (n == 0) {
     return;
   }
-  stats_.prefetch_issued.fetch_add(reqs.size(), std::memory_order_relaxed);
-  obs::ChargePrefetchIssued(reqs.size());
-  prefetch_inflight_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  const auto submitted = std::chrono::steady_clock::now();
+  stats_.prefetch_issued.fetch_add(n, std::memory_order_relaxed);
+  obs::ChargePrefetchIssued(n);
+  const auto start = std::chrono::steady_clock::now();
+  // Step 2, outside the latch: one batched read. Demand fetchers of these
+  // pages meanwhile wait on the in-flight frames instead of re-reading.
   lock.unlock();
-  // Fire and forget: with an async disk this returns as soon as the reads
-  // are queued and CompletePrefetch runs in the reaper context; with a
-  // sync disk the completion runs inline right here, preserving PR 7
-  // behaviour exactly.
-  disk_->SubmitReadPages(
-      std::move(reqs), [this, submitted](std::span<PageReadRequest> done) {
-        CompletePrefetch(done, submitted);
-      });
-}
-
-void BufferPool::CompletePrefetch(
-    std::span<PageReadRequest> reqs,
-    std::chrono::steady_clock::time_point submitted) {
-  {
-    std::lock_guard<std::mutex> lock(latch_);
-    for (PageReadRequest& req : reqs) {
-      Frame* frame = GetFrameLocked(req.id);
-      DSKS_CHECK(frame != nullptr);
-      if (req.status.ok()) {
-        frame->io_in_progress = false;
-        frame->pin_count = 0;
-        frame->prefetched = true;
-        lru_.push_back(req.id);
-        frame->lru_pos = std::prev(lru_.end());
-        frame->in_lru = true;
-      } else {
-        // Fault-silent by design: drop the frame, count it, and let any
-        // later demand fetch re-read and surface its own error. A query
-        // never fails because of a speculative read it didn't ask for.
-        frames_.erase(req.id);
-        stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
-      }
+  disk_->ReadPages(std::span<PageReadRequest>(reqs, n));
+  lock.lock();
+  // Step 3, under the latch: publish successes as unpinned LRU frames.
+  for (size_t i = 0; i < n; ++i) {
+    Frame* frame = GetFrameLocked(reqs[i].id);
+    DSKS_CHECK(frame != nullptr);
+    if (reqs[i].status.ok()) {
+      frame->io_in_progress = false;
+      frame->pin_count = 0;
+      frame->prefetched = true;
+      lru_.push_back(reqs[i].id);
+      frame->lru_pos = std::prev(lru_.end());
+      frame->in_lru = true;
+    } else {
+      // Fault-silent by design: drop the frame, count it, and let any
+      // later demand fetch re-read and surface its own error. A query
+      // never fails because of a speculative read it didn't ask for.
+      frames_.erase(reqs[i].id);
+      stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
     }
-    TrimToCapacityLocked();
   }
-  prefetch_inflight_.fetch_sub(reqs.size(), std::memory_order_relaxed);
+  TrimToCapacityLocked();
+  lock.unlock();
   io_done_.notify_all();
   if (obs::Histogram* hist =
           prefetch_latency_.load(std::memory_order_relaxed)) {
     const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - submitted;
+        std::chrono::steady_clock::now() - start;
     hist->Record(elapsed.count());
   }
 }
-
-void BufferPool::DrainPrefetches() { disk_->DrainAsyncReads(); }
 
 char* BufferPool::NewPage(PageId* id) {
   *id = disk_->AllocatePage();
@@ -424,10 +402,6 @@ void BufferPool::SetCapacity(size_t capacity) {
 }
 
 Status BufferPool::Clear() {
-  // In-flight speculative frames hold pins; wait them out (outside the
-  // latch — completions need it) so the no-pins contract below checks
-  // only true pin leaks.
-  disk_->DrainAsyncReads();
   std::lock_guard<std::mutex> lock(latch_);
   const Status status = FlushAllLocked();
   for (auto& [id, frame] : frames_) {
@@ -463,8 +437,6 @@ void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
                        counter(&stats_.prefetch_wasted));
   registry->BindSource(prefix + ".prefetch.dropped",
                        counter(&stats_.prefetch_dropped));
-  registry->BindSource(prefix + ".prefetch.inflight",
-                       counter(&prefetch_inflight_));
   prefetch_latency_.store(&registry->histogram(prefix + ".prefetch.completion"),
                           std::memory_order_relaxed);
   registry->BindSource(prefix + ".capacity_frames",

@@ -2,7 +2,6 @@
 #define DSKS_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -148,40 +147,23 @@ class BufferPool {
   /// a duplicate would wait on its own in-flight read.
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
-  /// Best-effort, non-blocking readahead: starts one batched speculative
-  /// read for the pages of `ids` not already resident or in flight, and
-  /// publishes whatever succeeds as unpinned LRU frames. Failures of any
+  /// Best-effort readahead: reads the pages of `ids` not already resident
+  /// or in flight with one batched DiskManager read on the calling thread
+  /// (outside the latch), and publishes whatever succeeds as unpinned LRU
+  /// frames. While the read runs the frames are in flight, so a demand
+  /// fetch of one of them waits instead of re-reading. Failures of any
   /// kind — injected faults, real I/O errors, corruption — are dropped
   /// (counted in prefetch_dropped) and never surfaced: a later demand
   /// fetch of that page retries from scratch and reports its own error.
   /// Never waits on other threads' in-flight reads, skips unallocated ids,
-  /// and is a no-op while prefetching is disabled. Results of queries are
+  /// and is a no-op while prefetching is disabled. A page currently
+  /// pinned *and dirty* is refused as a counted no-op (prefetch_issued AND
+  /// prefetch_dropped, never a device read) — a speculative read racing an
+  /// in-progress writer would publish stale bytes. Only the first
+  /// kMaxPrefetchBatch ids are considered. Results of queries are
   /// bit-identical with prefetch on or off; only cache temperature moves.
-  ///
-  /// With an async disk (IoMode::kAsync) this is fire-and-forget: frames
-  /// enter IO_IN_FLIGHT (pinned, off-LRU, io_in_progress) and the call
-  /// returns as soon as the reads are queued; the DiskManager completion
-  /// — running in the engine's reaper context, after CRC verification and
-  /// fault draws — publishes or drops each frame and wakes demand
-  /// fetchers waiting on the per-frame condvar. At most `io_depth`
-  /// speculative pages are in flight at once; ids past the window are
-  /// silently skipped like resident pages. A page currently pinned *and
-  /// dirty* is refused as a counted no-op (prefetch_issued AND
-  /// prefetch_dropped, never a device read) — a speculative read racing
-  /// an in-progress writer would publish stale bytes.
   void Prefetch(std::span<const PageId> ids);
-
-  /// Speculative pages currently in flight (0 whenever the pool is
-  /// quiescent — pinned by tests after DrainPrefetches). Exposed as the
-  /// "<prefix>.prefetch.inflight" metrics source.
-  uint64_t prefetch_inflight() const {
-    return prefetch_inflight_.load(std::memory_order_relaxed);
-  }
-
-  /// Blocks until every in-flight speculative read has completed and
-  /// published (or dropped) its frame. No-op on a sync disk. Clear() and
-  /// the destructor drain implicitly.
-  void DrainPrefetches();
+  static constexpr size_t kMaxPrefetchBatch = 64;
 
   /// Kill switch for Prefetch (default on). Tests that need exact demand
   /// I/O sequences (one-shot fault placement) turn it off; `--prefetch`
@@ -287,13 +269,6 @@ class BufferPool {
   /// UnpinPage's body; requires latch_ held.
   void UnpinPageLocked(PageId id, bool dirty);
 
-  /// Completion tail of Prefetch, run once per submitted batch (inline on
-  /// the issuing thread for a sync disk, in the reaper context for an
-  /// async one): publishes successful frames to the LRU, drops failures,
-  /// decrements the in-flight gauge and wakes demand fetchers.
-  void CompletePrefetch(std::span<PageReadRequest> reqs,
-                        std::chrono::steady_clock::time_point submitted);
-
   Status FlushAllLocked();
 
   DiskManager* disk_;
@@ -307,13 +282,8 @@ class BufferPool {
   /// Unpinned pages, least-recently-used at the front.
   std::list<PageId> lru_;
   BufferPoolStats stats_;
-  /// Speculative pages submitted but not yet completed. A gauge, not part
-  /// of BufferPoolStats: ResetStats between bench phases must not zero a
-  /// live in-flight count (its decrements are paired with submissions,
-  /// never reset).
-  std::atomic<uint64_t> prefetch_inflight_{0};
-  /// Submit-to-completion latency of speculative batches; bound lazily by
-  /// BindMetrics (null until then, recording skipped).
+  /// Latency of Prefetch's batched reads (read start to publish); bound
+  /// lazily by BindMetrics (null until then, recording skipped).
   mutable std::atomic<obs::Histogram*> prefetch_latency_{nullptr};
 };
 

@@ -20,8 +20,6 @@ const char* IoModeName(IoMode mode) {
   switch (mode) {
     case IoMode::kSync:
       return "sync";
-    case IoMode::kAsync:
-      return "async";
   }
   return "unknown";
 }

@@ -16,7 +16,7 @@ namespace {
 std::unique_ptr<DiskBackend> MakeBackend(const DiskOptions& options) {
   switch (options.backend) {
     case DiskBackendKind::kSim:
-      return std::make_unique<SimDiskBackend>(options);
+      return std::make_unique<SimDiskBackend>();
     case DiskBackendKind::kFile: {
       std::unique_ptr<FileDiskBackend> backend;
       const Status s = FileDiskBackend::Create(options, &backend);
@@ -31,9 +31,7 @@ std::unique_ptr<DiskBackend> MakeBackend(const DiskOptions& options) {
 }  // namespace
 
 DiskManager::DiskManager(const DiskOptions& options)
-    : DiskManager(MakeBackend(options), options.backend) {
-  io_depth_ = options.io_depth;
-}
+    : DiskManager(MakeBackend(options), options.backend) {}
 
 DiskManager::DiskManager(std::unique_ptr<DiskBackend> backend,
                          DiskBackendKind kind)
@@ -52,7 +50,6 @@ Status DiskManager::OpenExisting(const DiskOptions& options,
   std::unique_ptr<FileDiskBackend> backend;
   DSKS_RETURN_IF_ERROR(FileDiskBackend::Open(options, &backend));
   out->reset(new DiskManager(std::move(backend), options.backend));
-  (*out)->io_depth_ = options.io_depth;
   return Status::Ok();
 }
 
@@ -165,67 +162,6 @@ void DiskManager::ReadPages(std::span<PageReadRequest> batch) {
     r.status = std::move(device[k].status);
     finish(&r);
   }
-}
-
-void DiskManager::SubmitReadPages(std::vector<PageReadRequest> batch,
-                                  DiskBackend::ReadCompletion done) {
-  if (batch.empty()) {
-    return;
-  }
-  if (!backend_->async_enabled()) {
-    // Synchronous rung: the batched path with its submit-time draws, then
-    // an inline completion — byte- and counter-identical to PR 7.
-    ReadPages(std::span<PageReadRequest>(batch));
-    done(std::span<PageReadRequest>(batch));
-    return;
-  }
-  // Async: the backend moves raw bytes; ALL policy — fault draws, stats,
-  // bit-flip corruption, CRC verification — runs at completion time in
-  // the engine's reaper context. The injector's counter-hashed draws make
-  // fault *counts* a pure function of (seed, ops, p) regardless of the
-  // order completions land in, which is what keeps seeded chaos runs
-  // reproducible across sync and async regimes.
-  backend_->SubmitRead(
-      std::move(batch),
-      [this, done = std::move(done)](std::span<PageReadRequest> b) {
-        const bool armed = fault_injector_.armed();
-        for (PageReadRequest& r : b) {
-          if (armed && fault_injector_.ShouldFailRead(r.id)) {
-            // The injected fault wins even though the device read already
-            // happened: the op fails, and like the sync path it is not
-            // accounted as a successful read.
-            stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-            r.status = Status::IOError("injected read fault on page " +
-                                       std::to_string(r.id));
-            continue;
-          }
-          if (!r.status.ok()) {
-            if (r.status.IsCorruption()) {
-              stats_.corruptions_detected.fetch_add(1,
-                                                    std::memory_order_relaxed);
-            } else {
-              stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-            }
-            continue;
-          }
-          stats_.reads.fetch_add(1, std::memory_order_relaxed);
-          obs::ChargeDiskRead();
-          if (armed) {
-            uint32_t bit_index = 0;
-            if (fault_injector_.ShouldCorruptRead(r.id, &bit_index)) {
-              r.out[bit_index / 8] ^=
-                  static_cast<char>(1u << (bit_index % 8));
-            }
-          }
-          if (crc32c::Value(r.out, kPageSize) != r.expected_crc) {
-            stats_.corruptions_detected.fetch_add(1,
-                                                  std::memory_order_relaxed);
-            r.status = Status::Corruption("checksum mismatch on page " +
-                                          std::to_string(r.id));
-          }
-        }
-        done(b);
-      });
 }
 
 Status DiskManager::WritePage(PageId id, const char* in) {

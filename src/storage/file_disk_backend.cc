@@ -138,7 +138,6 @@ Status FileDiskBackend::Create(const DiskOptions& options,
     return Status::IOError(ErrnoMessage("open", crc_path, err));
   }
   out->reset(new FileDiskBackend(options.path, data_fd, crc_fd, o_direct));
-  (*out)->SetupEngine(options);
   return Status::Ok();
 }
 
@@ -202,56 +201,8 @@ Status FileDiskBackend::Open(const DiskOptions& options,
   }
   backend->physical_pages_ =
       static_cast<size_t>(st.st_size + kPageSize - 1) / kPageSize;
-  backend->SetupEngine(options);
   *out = std::move(backend);
   return Status::Ok();
-}
-
-void FileDiskBackend::SetupEngine(const DiskOptions& options) {
-  if (options.io != IoMode::kAsync) {
-    return;
-  }
-  if (!o_direct_) {
-    // Heap frames are unaligned, so the kernel path is buffered-only;
-    // O_DIRECT configurations take the worker pool, whose ReadPages
-    // already bounces through aligned buffers.
-    auto uring = IoUringIoEngine::Probe(
-        data_fd_, options.io_depth, [this](PageReadRequest* r) {
-          // Single-page retry with full ReadPage semantics: zero-fill
-          // past the physical end, IOError/Corruption mapping, checksum
-          // re-resolution.
-          r->status = ReadPage(r->id, r->out, &r->expected_crc);
-        });
-    if (uring != nullptr) {
-      uring_ = uring.get();
-      engine_ = std::move(uring);
-      return;
-    }
-  }
-  engine_ = std::make_unique<WorkerPoolIoEngine>(
-      [this](std::span<PageReadRequest> batch) { ReadPages(batch); },
-      /*num_threads=*/2);
-}
-
-void FileDiskBackend::SubmitRead(std::vector<PageReadRequest> batch,
-                                 ReadCompletion done) {
-  if (engine_ == nullptr) {
-    DiskBackend::SubmitRead(std::move(batch), std::move(done));
-    return;
-  }
-  if (uring_ != nullptr) {
-    // Pre-resolve the checksums the success path hands back with each
-    // CQE; short or failed CQEs re-resolve through the fallback.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (PageReadRequest& r : batch) {
-      DSKS_CHECK_MSG(r.id < checksums_.size(), "read of unallocated page");
-      r.expected_crc = checksums_[r.id];
-    }
-  }
-  AsyncReadBatch work;
-  work.reqs = std::move(batch);
-  work.done = std::move(done);
-  engine_->Submit(std::move(work));
 }
 
 PageId FileDiskBackend::AllocatePage() {

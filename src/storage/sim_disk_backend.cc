@@ -20,39 +20,18 @@ void SpinForMicros(double us) {
   }
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic per-op latency jitter for the async completion path:
-/// op counter -> factor in [0.75, 1.25). Fixed seed — the point is
-/// reproducible reordering, not configurable noise.
-double JitterFactor(uint64_t op) {
-  constexpr uint64_t kJitterSeed = 0xD5A61D5Cull;
-  const uint64_t h = SplitMix64(op ^ kJitterSeed);
-  const double unit =
-      static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0,1)
-  return 0.75 + 0.5 * unit;
-}
-
 }  // namespace
 
-SimDiskBackend::SimDiskBackend(const DiskOptions& options) {
-  if (options.io == IoMode::kAsync) {
-    // One worker per ~8 pages of configured queue depth (a batch is a
-    // few to 32 pages): each worker sleeping a round trip models one
-    // command in flight on the device, so io_depth buys overlapped round
-    // trips like NCQ does. Workers spend their lives asleep in the
-    // simulated latency, so even on a single core a handful of them costs
-    // nothing — they hold no CPU while a query computes.
-    const size_t workers =
-        std::min<size_t>(8, std::max<size_t>(2, options.io_depth / 8));
-    engine_ = std::make_unique<WorkerPoolIoEngine>(
-        [this](std::span<PageReadRequest> batch) { ReadPagesOnEngine(batch); },
-        workers);
+void SimDiskBackend::WaitReadDelay() const {
+  const double delay = read_delay_us_.load(std::memory_order_relaxed);
+  if (delay <= 0.0) {
+    return;
+  }
+  if (read_delay_yields_.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::micro>(delay));
+  } else {
+    SpinForMicros(delay);
   }
 }
 
@@ -76,15 +55,7 @@ Status SimDiskBackend::ReadPage(PageId id, char* out,
     *expected_crc = checksums_[id];
   }
   // Wait and copy outside the mutex so concurrent reads overlap.
-  const double delay = read_delay_us_.load(std::memory_order_relaxed);
-  if (delay > 0.0) {
-    if (read_delay_yields_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(delay));
-    } else {
-      SpinForMicros(delay);
-    }
-  }
+  WaitReadDelay();
   std::memcpy(out, src, kPageSize);
   return Status::Ok();
 }
@@ -93,75 +64,30 @@ void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   if (batch.empty()) {
     return;
   }
-  std::vector<const char*> srcs(batch.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      DSKS_CHECK_MSG(batch[i].id < pages_.size(), "read of unallocated page");
-      srcs[i] = pages_[batch[i].id].get();
-      batch[i].expected_crc = checksums_[batch[i].id];
-    }
-  }
   // One simulated device round trip for the whole batch: this latency
   // discount is exactly what batched I/O buys on a real disk.
-  const double delay = read_delay_us_.load(std::memory_order_relaxed);
-  if (delay > 0.0) {
-    if (read_delay_yields_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(delay));
-    } else {
-      SpinForMicros(delay);
+  WaitReadDelay();
+  // Sources are resolved under the mutex a chunk at a time into a stack
+  // array and copied outside it, so a batch allocates nothing.
+  constexpr size_t kChunk = 64;
+  const char* srcs[kChunk];
+  for (size_t base = 0; base < batch.size(); base += kChunk) {
+    const std::span<PageReadRequest> chunk =
+        batch.subspan(base, std::min(kChunk, batch.size() - base));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        DSKS_CHECK_MSG(chunk[i].id < pages_.size(),
+                       "read of unallocated page");
+        srcs[i] = pages_[chunk[i].id].get();
+        chunk[i].expected_crc = checksums_[chunk[i].id];
+      }
+    }
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      std::memcpy(chunk[i].out, srcs[i], kPageSize);
+      chunk[i].status = Status::Ok();
     }
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::memcpy(batch[i].out, srcs[i], kPageSize);
-    batch[i].status = Status::Ok();
-  }
-}
-
-void SimDiskBackend::ReadPagesOnEngine(std::span<PageReadRequest> batch) {
-  if (batch.empty()) {
-    return;
-  }
-  std::vector<const char*> srcs(batch.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      DSKS_CHECK_MSG(batch[i].id < pages_.size(), "read of unallocated page");
-      srcs[i] = pages_[batch[i].id].get();
-      batch[i].expected_crc = checksums_[batch[i].id];
-    }
-  }
-  // The delay lands here, on the completion path: the issuing thread kept
-  // computing the moment Submit returned, which is the overlap the async
-  // mode models. Same cost unit as the sync path — one round trip per
-  // batch — so the two regimes simulate the same device; only *who* waits
-  // differs. Deterministic per-op jitter makes completions of concurrent
-  // batches interleave the same way on every run. Always a sleep, never a
-  // spin: a spinning engine thread would steal the very CPU the issuer
-  // overlaps with (this box has one core).
-  const double base = read_delay_us_.load(std::memory_order_relaxed);
-  if (base > 0.0) {
-    const uint64_t op = async_read_ops_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-        base * JitterFactor(op)));
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::memcpy(batch[i].out, srcs[i], kPageSize);
-    batch[i].status = Status::Ok();
-  }
-}
-
-void SimDiskBackend::SubmitRead(std::vector<PageReadRequest> batch,
-                                ReadCompletion done) {
-  if (engine_ == nullptr) {
-    DiskBackend::SubmitRead(std::move(batch), std::move(done));
-    return;
-  }
-  AsyncReadBatch work;
-  work.reqs = std::move(batch);
-  work.done = std::move(done);
-  engine_->Submit(std::move(work));
 }
 
 Status SimDiskBackend::WritePage(PageId id, const char* in, uint32_t crc) {

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "storage/async_io_engine.h"
 #include "storage/disk_backend.h"
 
 namespace dsks {
@@ -26,35 +25,13 @@ namespace dsks {
 class SimDiskBackend : public DiskBackend {
  public:
   SimDiskBackend() = default;
-  /// IoMode::kAsync attaches a worker-pool engine (the simulation has no
-  /// file descriptor for io_uring); SubmitRead then completes on engine
-  /// threads with the simulated latency charged on the completion path —
-  /// one round trip per batch, the same unit the sync path charges — each
-  /// delay scaled by a deterministic seeded jitter factor (SplitMix64 of
-  /// a per-op counter, like FaultInjector's draws) so completions reorder
-  /// reproducibly in unit tests. The worker count scales with
-  /// DiskOptions::io_depth: each worker sleeping a round trip is one
-  /// command the simulated device has in flight, so the queue-depth knob
-  /// translates into genuinely overlapped round trips.
-  explicit SimDiskBackend(const DiskOptions& options);
 
   PageId AllocatePage() override;
   Status ReadPage(PageId id, char* out, uint32_t* expected_crc) override;
-  /// Batched read: one directory pass under the mutex, then the simulated
-  /// latency is charged once for the whole batch — the model of a single
-  /// vectored device request — before all pages are copied.
+  /// Batched read: the simulated latency is charged once for the whole
+  /// batch — the model of a single vectored device request — then pages
+  /// are resolved under the mutex and copied outside it.
   void ReadPages(std::span<PageReadRequest> batch) override;
-  void SubmitRead(std::vector<PageReadRequest> batch,
-                  ReadCompletion done) override;
-  bool async_enabled() const override { return engine_ != nullptr; }
-  const char* io_engine_name() const override {
-    return engine_ != nullptr ? engine_->name() : "sync";
-  }
-  void DrainReads() override {
-    if (engine_ != nullptr) {
-      engine_->Drain();
-    }
-  }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;
   Status Flush() override { return Status::Ok(); }
@@ -80,12 +57,9 @@ class SimDiskBackend : public DiskBackend {
   }
 
  private:
-  /// Engine read function: resolves sources, then — per page, in request
-  /// order — sleeps the jittered simulated latency and copies. Always
-  /// sleeps (never spins): engine threads share cores with query compute,
-  /// and a spinning "device" would steal exactly the overlap async I/O
-  /// exists to create.
-  void ReadPagesOnEngine(std::span<PageReadRequest> batch);
+  /// Passes one simulated device round trip (spin or sleep, per
+  /// read_delay_yields); no-op at zero delay.
+  void WaitReadDelay() const;
 
   mutable std::mutex mutex_;
   /// The unique_ptr array may reallocate on growth, but the page blocks
@@ -99,14 +73,6 @@ class SimDiskBackend : public DiskBackend {
   std::vector<uint32_t> checksums_;
   std::atomic<double> read_delay_us_{0.0};
   std::atomic<bool> read_delay_yields_{false};
-  /// Per-op counter feeding the deterministic jitter draw; the sequence
-  /// of factors is a pure function of the counter, so total simulated
-  /// delay over N async reads is run-to-run stable even though engine
-  /// threads interleave.
-  std::atomic<uint64_t> async_read_ops_{0};
-  /// Declared last: destroyed first, so engine threads are joined (after
-  /// draining the queue) before the page directory they read goes away.
-  std::unique_ptr<WorkerPoolIoEngine> engine_;
 };
 
 }  // namespace dsks

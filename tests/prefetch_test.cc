@@ -170,11 +170,6 @@ TEST(PrefetchTest, CountersTelescope) {
   EXPECT_EQ(s.prefetch_issued, kPages);
   EXPECT_EQ(s.misses, 0u) << "speculative reads are not demand misses";
 
-  // The in-flight gauge drains to zero once every completion has landed
-  // (trivially immediate under --io=sync).
-  pool.DrainPrefetches();
-  EXPECT_EQ(pool.prefetch_inflight(), 0u);
-
   // Demand-touch the first half: those become prefetch hits.
   for (size_t i = 0; i < kPages / 2; ++i) {
     char* data = testing::MustFetch(&pool, ids[i]);
@@ -202,7 +197,6 @@ TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
   disk->fault_injector()->FailPageReads(2, 1);
   PageId ids[kPages] = {0, 1, 2, 3};
   pool.Prefetch(std::span<const PageId>(ids, kPages));
-  pool.DrainPrefetches();  // under --io=async the drop lands on completion
 
   BufferPoolStatsSnapshot s = pool.stats_snapshot();
   EXPECT_EQ(s.prefetch_issued, kPages);
@@ -219,6 +213,36 @@ TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
   s = pool.stats_snapshot();
   EXPECT_EQ(s.prefetch_issued,
             s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
+}
+
+// At-rest corruption reached first by a speculative read: the CRC verify
+// in the batched read catches it, the poisoned frame is dropped (never
+// published), its batch mates are published normally, and the demand
+// fetch reports Corruption instead of serving bad bytes.
+TEST(PrefetchTest, CorruptPageIsDroppedAndDemandFetchReportsCorruption) {
+  testing::TestDisk disk("precorrupt");
+  constexpr size_t kPages = 4;
+  FillPages(disk.get(), kPages);
+  disk->CorruptStoredPage(2, /*bit_index=*/12345);
+  BufferPool pool(disk.get(), kPages + 2);
+
+  PageId ids[kPages] = {0, 1, 2, 3};
+  pool.Prefetch(std::span<const PageId>(ids, kPages));
+  BufferPoolStatsSnapshot s = pool.stats_snapshot();
+  EXPECT_EQ(s.prefetch_issued, kPages);
+  EXPECT_EQ(s.prefetch_dropped, 1u);
+  EXPECT_GE(disk->stats_snapshot().corruptions_detected, 1u);
+
+  char* data = nullptr;
+  EXPECT_TRUE(pool.FetchPage(2, &data).IsCorruption());
+  for (PageId id : {PageId{0}, PageId{1}, PageId{3}}) {
+    data = testing::MustFetch(&pool, id);
+    EXPECT_EQ(data[0], static_cast<char>('A' + id)) << "page " << id;
+    pool.UnpinPage(id, /*dirty=*/false);
+  }
+  s = pool.stats_snapshot();
+  EXPECT_EQ(s.prefetch_hits, 3u) << "the healthy batch mates were published";
+  ASSERT_TRUE(pool.Clear().ok());
 }
 
 TEST(PrefetchTest, DisabledPrefetchIsANoOp) {
@@ -271,7 +295,6 @@ TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
   const BufferPoolStatsSnapshot before = pool.stats_snapshot();
   PageId ids[] = {1};
   pool.Prefetch(std::span<const PageId>(ids, 1));
-  pool.DrainPrefetches();
 
   const BufferPoolStatsSnapshot after = pool.stats_snapshot();
   EXPECT_EQ(after.prefetch_issued, before.prefetch_issued + 1);
@@ -285,7 +308,6 @@ TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
   const BufferPoolStatsSnapshot s = pool.stats_snapshot();
   EXPECT_EQ(s.prefetch_issued,
             s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
-  EXPECT_EQ(pool.prefetch_inflight(), 0u);
 }
 
 // An 8-thread mix of Prefetch, demand fetches and capacity-pressure

@@ -30,13 +30,7 @@ DatasetConfig TinyPreset() {
 }
 
 TEST(TraceAttributionTest, EightThreadsTelescopeExactlyUnderFaults) {
-  // Pin the sync regime even under DSKS_TEST_IO=async: exact per-query
-  // attribution is defined for reads performed on the query's own thread,
-  // while async completions land on engine threads and are charged to the
-  // global counters only — the "charges sum to the global deltas" identity
-  // this test pins holds only when every read has an owning query.
-  DiskOptions disk_options = testing::TestDiskOptions("attr");
-  disk_options.io = IoMode::kSync;
+  const DiskOptions disk_options = testing::TestDiskOptions("attr");
   Database db(TinyPreset(), disk_options);
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;

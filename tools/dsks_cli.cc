@@ -55,6 +55,9 @@
 //       invariants (offered == admitted + shed + invalid + quota_denied,
 //       admitted == completed, sheds exactly match rejected submissions)
 //       and prints one "bench":"server_drill" JSON line.
+//
+// A flag the subcommand does not read (misspelt, or meant for another
+// subcommand) prints "unknown flag --X" and exits 2.
 #include <csignal>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -68,6 +71,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -96,7 +100,8 @@ namespace {
 /// Minimal --flag value parser. Both spellings work: `--flag value` and
 /// `--flag=value`. A flag followed by another flag (or by nothing) is
 /// boolean — present with an empty value — so `--trace` and `--trace json`
-/// both work.
+/// both work. Every lookup marks its flag read; RejectUnknown then fails
+/// on any flag the subcommand never looked at.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -117,8 +122,12 @@ class Args {
     }
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
   std::string Get(const std::string& key, const std::string& fallback) const {
+    read_.insert(key);
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
@@ -129,6 +138,7 @@ class Args {
   /// `--threads foo` must not silently become 0.
   double GetDouble(const std::string& key, double fallback, double min_value,
                    double max_value) const {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end()) {
       return fallback;
@@ -149,6 +159,7 @@ class Args {
   }
   size_t GetSize(const std::string& key, size_t fallback, size_t min_value,
                  size_t max_value) const {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end()) {
       return fallback;
@@ -171,9 +182,23 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Called by each subcommand once it has read all of its flags, before
+  /// any real work: a flag it never read (misspelt, meant for another
+  /// subcommand, or removed) prints `unknown flag --X` and exits 2 instead
+  /// of silently running with defaults.
+  void RejectUnknown() const {
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 int Usage() {
@@ -208,20 +233,19 @@ int Usage() {
                "           [--queue 16] [--clients 8] [--queries 64]\n"
                "           [--deadline-ms 0] [--invalid-p 0]\n"
                "           [--batch-window-ms 0] [--quota-qps 0]\n"
-               "query/metrics/serve-stats/chaos also accept storage-backend "
-               "flags:\n"
-               "           [--backend sim|file] [--backend-path PATH]\n"
-               "           [--o-direct] [--io sync|async] [--io-depth 64]\n");
+               "query/metrics/serve-stats/chaos/serve/drill also accept "
+               "storage-backend flags\n"
+               "(the last two with --backend file only):\n"
+               "           [--backend sim|file] [--backend-path PATH] "
+               "[--o-direct]\n"
+               "any other flag exits 2\n");
   return 2;
 }
 
 /// Shared storage-backend flags: `--backend sim|file` selects where pages
 /// live, `--backend-path PATH` names the index file (file backend only;
 /// defaults to a fresh /tmp file that is removed on exit), `--o-direct`
-/// asks the file backend to bypass the OS page cache. `--io async` serves
-/// speculative prefetch reads on an asynchronous engine (io_uring when
-/// the kernel offers it, a worker pool otherwise) so expansion compute
-/// overlaps them; `--io-depth` bounds the pages in flight.
+/// asks the file backend to bypass the OS page cache.
 class CliBackend {
  public:
   explicit CliBackend(const Args& args) {
@@ -240,15 +264,6 @@ class CliBackend {
                    name.c_str());
       std::exit(2);
     }
-    const std::string io = args.Get("io", "sync");
-    if (io == "async") {
-      options_.io = IoMode::kAsync;
-    } else if (io != "sync") {
-      std::fprintf(stderr, "--io: want 'sync' or 'async', got '%s'\n",
-                   io.c_str());
-      std::exit(2);
-    }
-    options_.io_depth = args.GetSize("io-depth", 64, 1, 4096);
   }
   ~CliBackend() {
     if (owns_files_) {
@@ -286,6 +301,7 @@ int CmdGenerate(const Args& args) {
   }
   DatasetConfig cfg = PresetByName(args.Get("preset", "SYN"));
   const double scale = args.GetDouble("scale", 1.0, 1e-6, 1e6);
+  args.RejectUnknown();
   if (scale != 1.0) {
     cfg = ScalePreset(cfg, scale);
   }
@@ -306,6 +322,7 @@ int CmdInfo(const Args& args) {
   if (args.positional().size() < 3) {
     return Usage();
   }
+  args.RejectUnknown();
   const std::string path = args.positional()[2];
   std::unique_ptr<RoadNetwork> net;
   std::unique_ptr<ObjectSet> objects;
@@ -366,6 +383,19 @@ IndexOptions IndexOptionsByName(const std::string& index_name) {
   IndexOptions opts;
   opts.kind = it->second;
   return opts;
+}
+
+/// The synthetic database behind metrics, serve-stats, serve, drill and
+/// chaos: --preset and --scale pick the dataset, --index its index.
+struct PresetFlags {
+  DatasetConfig dataset;
+  IndexOptions index;
+};
+
+PresetFlags ReadPresetFlags(const Args& args) {
+  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  return {ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
+          IndexOptionsByName(args.Get("index", "sif"))};
 }
 
 /// One `dsks_cli query` request, parsed from the flags.
@@ -469,6 +499,15 @@ int CmdQuery(const Args& args) {
   cq.sk.delta_max = args.GetDouble("delta", 1500.0, 1e-9, 1e12);
   const size_t threads = args.GetSize("threads", 1, 1, 1024);
   const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
+  const size_t object_loc = args.GetSize("object-loc", 0, 0, SIZE_MAX);
+  // --trace: per-phase spans with the query's own pool/disk counter
+  // deltas (Database binds the trace to the context's counters). knn and
+  // ranked record only their root span; boolean and div modes get the
+  // full phase tree.
+  const bool traced = args.Has("trace");
+  const bool trace_json = args.Get("trace", "") == "json";
+  CliBackend backend(args);
+  args.RejectUnknown();
 
   std::unique_ptr<RoadNetwork> net;
   std::unique_ptr<ObjectSet> objects;
@@ -476,7 +515,6 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  CliBackend backend(args);
   Database db(std::move(net), std::move(objects), backend.options());
   db.SetPrefetchEnabled(prefetch == "on");
   const Database::IndexBuildInfo built = db.BuildIndex(index_options);
@@ -484,8 +522,8 @@ int CmdQuery(const Args& args) {
               built.build_millis,
               static_cast<double>(built.size_bytes) / 1048576.0);
 
-  const auto& anchor = db.objects().object(static_cast<ObjectId>(
-      args.GetSize("object-loc", 0, 0, SIZE_MAX) % db.objects().size()));
+  const auto& anchor = db.objects().object(
+      static_cast<ObjectId>(object_loc % db.objects().size()));
   cq.sk.loc = NetworkLocation{anchor.edge, anchor.offset};
   // The API boundary: a malformed query is an error message plus a nonzero
   // exit, never an abort inside the search.
@@ -495,11 +533,6 @@ int CmdQuery(const Args& args) {
   }
   cq.edge = MakeQueryEdgeInfo(db.network(), cq.sk.loc);
 
-  // --trace: per-phase spans with the query's own pool/disk counter
-  // deltas (Database binds the trace to the context's counters). knn and
-  // ranked record only their root span; boolean and div modes get the
-  // full phase tree.
-  const bool traced = args.Has("trace");
   obs::QueryTrace trace;
   QueryContext ctx;
   ctx.trace = traced ? &trace : nullptr;
@@ -520,7 +553,7 @@ int CmdQuery(const Args& args) {
                   db.pool()->stats().prefetch_issued.load() -
                   prefetched_before));
   if (traced && !trace.spans().empty()) {
-    if (args.Get("trace", "") == "json") {
+    if (trace_json) {
       std::printf("%s\n", trace.ToJson().c_str());
     } else {
       std::printf("%s", trace.ToText().c_str());
@@ -578,23 +611,24 @@ int CmdQuery(const Args& args) {
 int CmdMetrics(const Args& args) {
   // Self-contained: a synthetic database plus a short concurrent workload,
   // so there is traffic behind every exposed counter.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  const PresetFlags preset = ReadPresetFlags(args);
   CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
+  WorkloadConfig wc;
+  wc.num_queries = args.GetSize("queries", 32, 1, 1u << 20);
+  wc.num_keywords = 2;
+  wc.seed = 7;
+  ExecutorConfig config;
+  config.num_threads = args.GetSize("threads", 2, 1, 1024);
+  const std::string format = args.Get("format", "json");
+  args.RejectUnknown();
+  Database db(preset.dataset, backend.options());
+  db.BuildIndex(preset.index);
   db.PrepareForQueries();
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
 
-  WorkloadConfig wc;
-  wc.num_queries = args.GetSize("queries", 32, 1, 1u << 20);
-  wc.num_keywords = 2;
-  wc.seed = 7;
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
-  ExecutorConfig config;
-  config.num_threads = args.GetSize("threads", 2, 1, 1024);
   config.metrics = &registry;
   {
     QueryExecutor exec(config);
@@ -608,7 +642,6 @@ int CmdMetrics(const Args& args) {
     exec.Drain();
   }
 
-  const std::string format = args.Get("format", "json");
   if (format == "prom" || format == "prometheus") {
     std::printf("%s", registry.ToPrometheus().c_str());
   } else {
@@ -622,7 +655,7 @@ int CmdServeStats(const Args& args) {
   // A live telemetry demo: synthetic database, continuous sampled-traced
   // workload, and a query server on loopback whose HTTP routes serve the
   // registry and the flight recorder.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  const PresetFlags preset = ReadPresetFlags(args);
   const auto port =
       static_cast<uint16_t>(args.GetSize("port", 0, 0, 65535));
   const size_t threads = args.GetSize("threads", 2, 1, 1024);
@@ -631,11 +664,11 @@ int CmdServeStats(const Args& args) {
       static_cast<uint32_t>(args.GetSize("sample", 16, 0, 1u << 20));
   const double slow_ms = args.GetDouble("slow-ms", 0.0, 0.0, 1e9);
   const size_t duration_ms = args.GetSize("duration-ms", 0, 0, SIZE_MAX);
-
   CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
+  args.RejectUnknown();
+
+  Database db(preset.dataset, backend.options());
+  db.BuildIndex(preset.index);
   db.PrepareForQueries();
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
@@ -819,21 +852,9 @@ volatile std::sig_atomic_t g_stop_serve = 0;
 void OnStopSignal(int) { g_stop_serve = 1; }
 
 int CmdServe(const Args& args) {
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  const PresetFlags preset = ReadPresetFlags(args);
   const auto port = static_cast<uint16_t>(args.GetSize("port", 0, 0, 65535));
   const size_t duration_ms = args.GetSize("duration-ms", 0, 0, SIZE_MAX);
-
-  CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
-  db.PrepareForQueries();
-
-  obs::MetricsRegistry& registry = obs::GlobalMetrics();
-  db.BindMetrics(&registry, "db");
-  obs::FlightRecorder recorder;
-  recorder.set_occupancy_gauge(&registry.gauge("dsks.flight_recorder.entries"));
-
   server::ServerConfig sc;
   sc.service.threads = args.GetSize("threads", 4, 1, 1024);
   sc.service.queue_capacity = args.GetSize("queue", 64, 1, 1u << 20);
@@ -844,10 +865,21 @@ int CmdServe(const Args& args) {
   sc.service.submit_wait_ms = args.GetDouble("submit-wait-ms", 0.0, 0.0, 1e6);
   sc.service.quota.rate_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
   sc.service.quota.burst = args.GetDouble("quota-burst", 8.0, 1.0, 1e9);
-  sc.service.metrics = &registry;
-  sc.service.flight_recorder = &recorder;
   sc.service.sampling.sample_every =
       static_cast<uint32_t>(args.GetSize("sample", 0, 0, 1u << 20));
+  CliBackend backend(args);
+  args.RejectUnknown();
+
+  Database db(preset.dataset, backend.options());
+  db.BuildIndex(preset.index);
+  db.PrepareForQueries();
+
+  obs::MetricsRegistry& registry = obs::GlobalMetrics();
+  db.BindMetrics(&registry, "db");
+  obs::FlightRecorder recorder;
+  recorder.set_occupancy_gauge(&registry.gauge("dsks.flight_recorder.entries"));
+  sc.service.metrics = &registry;
+  sc.service.flight_recorder = &recorder;
 
   server::QueryServer server(&db, sc);
   if (const Status s = server.Start(port); !s.ok()) {
@@ -890,7 +922,7 @@ int CmdDrill(const Args& args) {
   // Overload acceptance drill: hammer an in-process server over real
   // sockets at a multiple of its capacity and verify the admission
   // arithmetic is exact — no aborts, no lost requests, no double counts.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  const PresetFlags preset = ReadPresetFlags(args);
   const size_t threads = args.GetSize("threads", 4, 1, 1024);
   const size_t queue = args.GetSize("queue", 16, 1, 1u << 20);
   const size_t clients = args.GetSize("clients", 8, 1, 256);
@@ -900,11 +932,11 @@ int CmdDrill(const Args& args) {
   const double batch_window_ms =
       args.GetDouble("batch-window-ms", 0.0, 0.0, 1e6);
   const double quota_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
-
   CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
+  args.RejectUnknown();
+
+  Database db(preset.dataset, backend.options());
+  db.BuildIndex(preset.index);
   db.PrepareForQueries();
 
   obs::MetricsRegistry registry;
@@ -1045,7 +1077,7 @@ int CmdChaos(const Args& args) {
   // Survival demonstration: run a concurrent workload with the storage
   // fault injector armed and show that every failure surfaces as a counted
   // Status — the queries fail, the process does not.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
+  const PresetFlags preset = ReadPresetFlags(args);
   const double read_fault_p = args.GetDouble("read-fault-p", 0.001, 0.0, 1.0);
   const double write_fault_p = args.GetDouble("write-fault-p", 0.0, 0.0, 1.0);
   const double corrupt_p = args.GetDouble("corrupt-p", 0.0, 0.0, 1.0);
@@ -1053,11 +1085,12 @@ int CmdChaos(const Args& args) {
   const size_t retries = args.GetSize("retries", 0, 0, 64);
   const size_t num_queries = args.GetSize("queries", 256, 1, 1u << 20);
   const size_t threads = args.GetSize("threads", 8, 1, 1024);
-
+  const bool over_socket = args.Has("socket");
   CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
+  args.RejectUnknown();
+
+  Database db(preset.dataset, backend.options());
+  db.BuildIndex(preset.index);
   // Shrink the pool *before* arming the injector: preparation flushes, and
   // an injected write fault there would be a setup failure, not a query
   // failure. The small pool then guarantees cold reads during the workload
@@ -1077,7 +1110,7 @@ int CmdChaos(const Args& args) {
   fc.seed = seed;
   db.disk()->fault_injector()->Configure(fc);
 
-  if (args.Has("socket")) {
+  if (over_socket) {
     // End-to-end drill: the same fault-injected workload, but every query
     // travels over a real TCP connection through the query server. The
     // survival property becomes visible at the protocol level — each
@@ -1176,10 +1209,9 @@ int CmdChaos(const Args& args) {
 
   std::printf(
       "chaos: %zu queries on %zu threads under read-fault-p=%g "
-      "corrupt-p=%g (seed %llu, backend %s, io %s)\n",
+      "corrupt-p=%g (seed %llu, backend %s)\n",
       m.queries, m.num_threads, read_fault_p, corrupt_p,
-      static_cast<unsigned long long>(seed), backend.name(),
-      db.disk()->io_engine_name());
+      static_cast<unsigned long long>(seed), backend.name());
   std::printf("  failed %llu (error rate %.2f%%), retries %llu\n",
               static_cast<unsigned long long>(m.errors),
               100.0 * m.error_rate,
