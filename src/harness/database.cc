@@ -283,15 +283,6 @@ Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
       BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out));
 }
 
-std::vector<SkResult> Database::RunKnnQuery(const SkQuery& query,
-                                            const QueryEdgeInfo& edge,
-                                            size_t k) {
-  std::vector<SkResult> results;
-  const Status status = RunKnnQuery(query, edge, k, &results);
-  DSKS_CHECK_MSG(status.ok(), "RunKnnQuery failed");
-  return results;
-}
-
 Status Database::RunRankedQuery(const RankedQuery& query,
                                 const QueryEdgeInfo& edge,
                                 std::vector<RankedResult>* out,
@@ -309,14 +300,6 @@ Status Database::RunRankedQuery(const RankedQuery& query,
   QueryScope scope(ctx);
   return scope.Finish(
       RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out));
-}
-
-std::vector<RankedResult> Database::RunRankedQuery(const RankedQuery& query,
-                                                   const QueryEdgeInfo& edge) {
-  std::vector<RankedResult> results;
-  const Status status = RunRankedQuery(query, edge, &results);
-  DSKS_CHECK_MSG(status.ok(), "RunRankedQuery failed");
-  return results;
 }
 
 Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,

@@ -152,16 +152,12 @@ class Database {
   Status RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
                      size_t k, std::vector<SkResult>* out,
                      QueryContext* ctx = nullptr);
-  std::vector<SkResult> RunKnnQuery(const SkQuery& query,
-                                    const QueryEdgeInfo& edge, size_t k);
 
   /// Ranked top-k SK query (OR semantics, distance/text score blend).
   /// Context handling as in RunKnnQuery.
   Status RunRankedQuery(const RankedQuery& query, const QueryEdgeInfo& edge,
                         std::vector<RankedResult>* out,
                         QueryContext* ctx = nullptr);
-  std::vector<RankedResult> RunRankedQuery(const RankedQuery& query,
-                                           const QueryEdgeInfo& edge);
 
   const RoadNetwork& network() const { return *network_; }
   const ObjectSet& objects() const { return *objects_; }

@@ -82,21 +82,11 @@ void QueryExecutor::SubmitQuery(const QueryTag& tag,
 }
 
 bool QueryExecutor::TrySubmitQuery(const QueryTag& tag,
-                                   std::function<Status(QueryContext*)> task,
-                                   double wait_millis) {
+                                   std::function<Status(QueryContext*)> task) {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (queue_.size() >= queue_capacity_) {
-      if (wait_millis <= 0.0) {
-        return false;  // immediate rejection — the producer never blocks
-      }
-      // Bounded submit deadline: wait up to wait_millis for space, then
-      // give up. wait_for re-checks the predicate on spurious wakeups.
-      if (!queue_not_full_.wait_for(
-              lock, std::chrono::duration<double, std::milli>(wait_millis),
-              [this] { return queue_.size() < queue_capacity_; })) {
-        return false;
-      }
+      return false;  // immediate rejection — the producer never blocks
     }
     queue_.push_back(Task{tag, std::move(task)});
   }
@@ -104,9 +94,9 @@ bool QueryExecutor::TrySubmitQuery(const QueryTag& tag,
   return true;
 }
 
-bool QueryExecutor::TrySubmitQuery(std::function<Status(QueryContext*)> task,
-                                   double wait_millis) {
-  return TrySubmitQuery(QueryTag{}, std::move(task), wait_millis);
+bool QueryExecutor::TrySubmitQuery(
+    std::function<Status(QueryContext*)> task) {
+  return TrySubmitQuery(QueryTag{}, std::move(task));
 }
 
 QueryExecutor::DrainResult QueryExecutor::Drain() {

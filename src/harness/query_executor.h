@@ -145,17 +145,14 @@ class QueryExecutor {
                    std::function<Status(QueryContext*)> task);
 
   /// Non-blocking admission: enqueues like SubmitQuery but never waits on
-  /// a full queue. `wait_millis` > 0 grants a bounded submit deadline —
-  /// wait that long for space, then give up. Returns false when the task
-  /// was NOT admitted (queue still full); the caller owns the rejection
-  /// (a server answers RESOURCE_EXHAUSTED and counts the shed). This is
-  /// the server-side admission path; the blocking SubmitQuery stays for
-  /// benches, where back-pressure on the producer is the point.
+  /// a full queue. Returns false when the task was NOT admitted (queue
+  /// full); the caller owns the rejection (a server answers
+  /// RESOURCE_EXHAUSTED and counts the shed). This is the server-side
+  /// admission path; the blocking SubmitQuery stays for benches, where
+  /// back-pressure on the producer is the point.
   bool TrySubmitQuery(const QueryTag& tag,
-                      std::function<Status(QueryContext*)> task,
-                      double wait_millis = 0.0);
-  bool TrySubmitQuery(std::function<Status(QueryContext*)> task,
-                      double wait_millis = 0.0);
+                      std::function<Status(QueryContext*)> task);
+  bool TrySubmitQuery(std::function<Status(QueryContext*)> task);
 
   /// What one Drain hands back: every per-thread latency sample plus the
   /// merge of the per-worker histograms over the same tasks (so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/timer.h"
 #include "core/query.h"
@@ -57,13 +58,7 @@ struct QueryService::Request {
   size_t limit = 0;  // 0 = service max_results
   std::string tenant;
   std::string raw_id;  // pre-rendered JSON for the response's "id"
-  std::string batch_key;
   int64_t deadline_ns = 0;  // armed at admission
-};
-
-struct QueryService::PendingBatch {
-  int64_t flush_at_ns = 0;
-  std::vector<std::pair<std::shared_ptr<Request>, Completion>> members;
 };
 
 QueryService::QueryService(Database* db, const ServiceConfig& config)
@@ -86,12 +81,6 @@ QueryService::QueryService(Database* db, const ServiceConfig& config)
     admitted_.published = &m->counter("dsks.server.admitted");
     completed_.published = &m->counter("dsks.server.completed");
     cancelled_.published = &m->counter("dsks.server.cancelled");
-    batches_.published = &m->counter("dsks.server.batches");
-    batched_queries_.published = &m->counter("dsks.server.batched_queries");
-  }
-
-  if (config_.batch_window_ms > 0.0) {
-    batcher_ = std::thread([this] { BatcherLoop(); });
   }
 }
 
@@ -102,24 +91,6 @@ void QueryService::Stop() {
     return;
   }
   stopped_ = true;
-  if (batcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batcher_stop_ = true;
-    }
-    batch_cv_.notify_all();
-    batcher_.join();
-  }
-  // Flush anything the batcher left behind (it flushes on stop, but be
-  // safe against a Stop before the thread ever ran).
-  std::map<std::string, PendingBatch> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    leftovers.swap(pending_batches_);
-  }
-  for (auto& [key, batch] : leftovers) {
-    FlushBatch(std::move(batch));
-  }
   // Destroying the executor drains it: every admitted query completes and
   // its completion callback has run by the time this returns.
   executor_.reset();
@@ -134,8 +105,6 @@ ServiceCounters QueryService::counters() const {
   c.admitted = admitted_.get();
   c.completed = completed_.get();
   c.cancelled = cancelled_.get();
-  c.batches = batches_.get();
-  c.batched_queries = batched_queries_.get();
   return c;
 }
 
@@ -257,14 +226,6 @@ Status QueryService::ParseRequest(const std::string& line,
     }
     out->raw_id = w.Take();
   }
-
-  // Canonical batch key: op + normalized (sorted, deduplicated) terms.
-  // Same key = same posting scans, which is exactly what batching shares.
-  out->batch_key = out->is_div ? "div:" : "sk:";
-  for (const TermId t : out->sk.terms) {
-    out->batch_key += std::to_string(t);
-    out->batch_key.push_back(',');
-  }
   return Status::Ok();
 }
 
@@ -292,8 +253,7 @@ bool QueryService::CheckQuota(const std::string& tenant) {
 
 void QueryService::RespondRejected(const Completion& done, const Request* req,
                                    const char* code_name,
-                                   const std::string& message,
-                                   bool /*quota*/) const {
+                                   const std::string& message) const {
   JsonWriter w;
   w.BeginObject();
   if (req != nullptr && !req->raw_id.empty()) {
@@ -306,7 +266,7 @@ void QueryService::RespondRejected(const Completion& done, const Request* req,
 }
 
 Status QueryService::RunOne(const Request& req, QueryContext* ctx,
-                            bool batched, std::string* response) const {
+                            std::string* response) const {
   JsonWriter w;
   w.BeginObject();
   if (!req.raw_id.empty()) {
@@ -386,9 +346,6 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
       .Key("prefetched_pages")
       .Value(io.prefetched_pages)
       .EndObject();
-  if (batched) {
-    w.Key("batched").Value(true);
-  }
   if (req.want_trace) {
     // Phase summary of the work actually done — for a CANCELLED query
     // that is the partial-work accounting up to the cancellation point.
@@ -422,34 +379,6 @@ void QueryService::FinishAdmitted(const Status& status) const {
   }
 }
 
-void QueryService::SubmitDirect(std::shared_ptr<Request> req,
-                                Completion done) {
-  // Admission verdict must be synchronous so shedding is exact: count the
-  // shed here, not in a callback.
-  QueryTag tag;
-  tag.kind = req->is_div ? "server_div" : "server_sk";
-  tag.terms = static_cast<uint32_t>(req->sk.terms.size());
-  auto service = this;
-  const bool admitted = executor_->TrySubmitQuery(
-      tag,
-      [service, req, done](QueryContext* ctx) {
-        std::string response;
-        const Status status =
-            service->RunOne(*req, ctx, /*batched=*/false, &response);
-        service->FinishAdmitted(status);
-        done(std::move(response));
-        return status;
-      },
-      config_.submit_wait_ms);
-  if (admitted) {
-    admitted_.Add();
-  } else {
-    shed_.Add();
-    RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                    "admission queue full", /*quota=*/false);
-  }
-}
-
 void QueryService::Submit(const std::string& line, const std::string& tenant,
                           Completion done) {
   requests_.Add();
@@ -458,7 +387,7 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   if (const Status parsed = ParseRequest(line, req.get()); !parsed.ok()) {
     invalid_.Add();
     RespondRejected(done, req.get(), Status::CodeName(parsed.code()),
-                    parsed.message(), /*quota=*/false);
+                    parsed.message());
     return;
   }
   if (req->tenant.empty()) {
@@ -467,7 +396,7 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   if (!CheckQuota(req->tenant)) {
     quota_denied_.Add();
     RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                    "tenant '" + req->tenant + "' over quota", /*quota=*/true);
+                    "tenant '" + req->tenant + "' over quota");
     return;
   }
 
@@ -477,120 +406,25 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   req->deadline_ns = deadline_ms > 0.0 ? DeadlineFromNowMillis(deadline_ms)
                                        : 0;
 
-  if (config_.batch_window_ms > 0.0) {
-    EnqueueBatchMember(std::move(req), std::move(done));
-    return;
-  }
-  SubmitDirect(std::move(req), std::move(done));
-}
-
-void QueryService::EnqueueBatchMember(std::shared_ptr<Request> req,
-                                      Completion done) {
-  std::string key = req->batch_key;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    PendingBatch& batch = pending_batches_[key];
-    if (batch.members.empty()) {
-      batch.flush_at_ns =
-          NowSteadyNs() +
-          static_cast<int64_t>(config_.batch_window_ms * 1e6);
-    }
-    batch.members.emplace_back(std::move(req), std::move(done));
-  }
-  batch_cv_.notify_one();
-}
-
-void QueryService::BatcherLoop() {
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  while (true) {
-    if (pending_batches_.empty()) {
-      if (batcher_stop_) {
-        return;
-      }
-      batch_cv_.wait(lock, [this] {
-        return batcher_stop_ || !pending_batches_.empty();
-      });
-      continue;
-    }
-    // Earliest flush deadline among pending batches.
-    int64_t next_ns = INT64_MAX;
-    for (const auto& [key, batch] : pending_batches_) {
-      next_ns = std::min(next_ns, batch.flush_at_ns);
-    }
-    const int64_t now = NowSteadyNs();
-    if (now < next_ns && !batcher_stop_) {
-      batch_cv_.wait_for(lock, std::chrono::nanoseconds(next_ns - now));
-      continue;
-    }
-    // Flush everything due (or everything, when stopping).
-    std::vector<PendingBatch> due;
-    for (auto it = pending_batches_.begin(); it != pending_batches_.end();) {
-      if (batcher_stop_ || it->second.flush_at_ns <= now) {
-        due.push_back(std::move(it->second));
-        it = pending_batches_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    lock.unlock();
-    for (PendingBatch& batch : due) {
-      FlushBatch(std::move(batch));
-    }
-    lock.lock();
-  }
-}
-
-void QueryService::FlushBatch(PendingBatch&& batch) {
-  if (batch.members.empty()) {
-    return;
-  }
-  const size_t n = batch.members.size();
-  if (n > 1) {
-    batches_.Add();
-    batched_queries_.Add(n);
-  }
-  // All members run sequentially as ONE executor task on one worker: the
-  // first member's B+tree descents and posting-page reads warm the buffer
-  // pool for the rest, so the shared keyword scan is physical exactly
-  // once. Results are bit-identical to unbatched runs — each member still
-  // executes its own search against the same immutable index.
+  // Admission verdict must be synchronous so shedding is exact: count the
+  // shed here, not in a callback.
   QueryTag tag;
-  tag.kind = n > 1 ? "server_batch"
-                   : (batch.members.front().first->is_div ? "server_div"
-                                                          : "server_sk");
-  tag.terms =
-      static_cast<uint32_t>(batch.members.front().first->sk.terms.size());
-  auto members = std::make_shared<
-      std::vector<std::pair<std::shared_ptr<Request>, Completion>>>(
-      std::move(batch.members));
-  auto service = this;
+  tag.kind = req->is_div ? "server_div" : "server_sk";
+  tag.terms = static_cast<uint32_t>(req->sk.terms.size());
   const bool admitted = executor_->TrySubmitQuery(
-      tag,
-      [service, members, n](QueryContext* ctx) {
-        Status worst;
-        for (auto& [req, done] : *members) {
-          std::string response;
-          const Status status =
-              service->RunOne(*req, ctx, /*batched=*/n > 1, &response);
-          service->FinishAdmitted(status);
-          done(std::move(response));
-          if (worst.ok() && !status.ok()) {
-            worst = status;
-          }
-        }
-        return worst;
-      },
-      config_.submit_wait_ms);
+      tag, [this, req, done](QueryContext* ctx) {
+        std::string response;
+        const Status status = RunOne(*req, ctx, &response);
+        FinishAdmitted(status);
+        done(std::move(response));
+        return status;
+      });
   if (admitted) {
-    admitted_.Add(n);
+    admitted_.Add();
   } else {
-    // The whole batch is shed as one unit: every member is a rejected
-    // submission and every member answers RESOURCE_EXHAUSTED.
-    shed_.Add(n);
-    for (auto& [req, done] : *members) {
-      RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                      "admission queue full (batch shed)", /*quota=*/false);
-    }
+    shed_.Add();
+    RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
+                    "admission queue full");
   }
 }
 

@@ -2,15 +2,12 @@
 #define DSKS_SERVER_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "harness/database.h"
@@ -28,7 +25,7 @@ struct QuotaConfig {
 };
 
 /// QueryService settings: the executor underneath plus the service-level
-/// overload policy (admission, deadlines, quotas, batching).
+/// overload policy (admission, deadlines, quotas).
 struct ServiceConfig {
   /// Worker threads of the underlying QueryExecutor.
   size_t threads = 4;
@@ -40,16 +37,6 @@ struct ServiceConfig {
   size_t max_retries = 0;
   /// Deadline applied to requests that carry none; 0 = unlimited.
   double default_deadline_ms = 0.0;
-  /// Micro-batching window: queries with identical keyword sets admitted
-  /// within this many milliseconds run as one executor task on one worker,
-  /// so the B+tree descents and posting pages of the shared terms are
-  /// fetched once and reused from the buffer pool (one physical scan).
-  /// Results are bit-identical to unbatched execution — members still run
-  /// their own searches, only the I/O overlaps. 0 disables batching.
-  double batch_window_ms = 0.0;
-  /// Bounded submit deadline: how long admission may wait for queue space
-  /// before shedding. 0 = reject immediately (pure non-blocking).
-  double submit_wait_ms = 0.0;
   /// Hard cap on result objects serialized per response (requests may ask
   /// for fewer via "limit"). Keeps one greedy query from turning the
   /// response stream into a bulk export.
@@ -73,8 +60,6 @@ struct ServiceCounters {
   uint64_t admitted = 0;      // handed to the executor
   uint64_t completed = 0;     // responses produced by admitted queries
   uint64_t cancelled = 0;     // completions whose Status was CANCELLED
-  uint64_t batches = 0;           // flushed multi-member batches
-  uint64_t batched_queries = 0;   // members that rode in those batches
 };
 
 /// The socket-independent query engine behind the TCP front end: parses
@@ -89,12 +74,12 @@ struct ServiceCounters {
 ///    "k":K, "lambda":L,            // div only
 ///    "deadline_ms":D, "trace":true, "limit":N, "tenant":"t", "id":...}
 /// Response: {"id":..., "status":"OK", "count":N, "results":[...], "ms":..,
-///    "io":{...}, and "objective"/"trace"/"batched"/"message" as apply}.
+///    "io":{...}, and "objective"/"trace"/"message" as apply}.
 class QueryService {
  public:
   /// Response JSON plus delivery. Called exactly once per Submit, on a
-  /// worker/batcher thread for admitted queries and inline (on the
-  /// Submit caller's thread) for pre-admission rejections.
+  /// worker thread for admitted queries and inline (on the Submit
+  /// caller's thread) for rejections.
   using Completion = std::function<void(std::string response_json)>;
 
   QueryService(Database* db, const ServiceConfig& config);
@@ -104,13 +89,15 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// One request line from connection tag `tenant` (a request-level
-  /// "tenant" field overrides it for quota accounting).
+  /// "tenant" field overrides it for quota accounting). Admission is one
+  /// path: parse, quota, then a non-blocking TrySubmitQuery — a full
+  /// queue sheds the request with RESOURCE_EXHAUSTED on the spot.
   void Submit(const std::string& line, const std::string& tenant,
               Completion done);
 
-  /// Flushes pending batches, drains the executor (every admitted query
-  /// completes and its callback runs), and stops the batcher. Idempotent;
-  /// also run by the destructor. No Submit may race or follow Stop.
+  /// Drains the executor (every admitted query completes and its callback
+  /// runs). Idempotent; also run by the destructor. No Submit may race or
+  /// follow Stop.
   void Stop();
 
   ServiceCounters counters() const;
@@ -118,21 +105,16 @@ class QueryService {
 
  private:
   struct Request;
-  struct PendingBatch;
 
   Status ParseRequest(const std::string& line, Request* out) const;
   bool CheckQuota(const std::string& tenant);
   /// Runs one parsed request on a worker context and returns the response.
-  Status RunOne(const Request& req, QueryContext* ctx, bool batched,
+  Status RunOne(const Request& req, QueryContext* ctx,
                 std::string* response) const;
   void FinishAdmitted(const Status& status) const;
-  void SubmitDirect(std::shared_ptr<Request> req, Completion done);
-  void EnqueueBatchMember(std::shared_ptr<Request> req, Completion done);
-  void BatcherLoop();
-  void FlushBatch(PendingBatch&& batch);
   void RespondRejected(const Completion& done, const Request* req,
-                       const char* code_name, const std::string& message,
-                       bool quota) const;
+                       const char* code_name,
+                       const std::string& message) const;
 
   Database* const db_;
   const ServiceConfig config_;
@@ -152,7 +134,7 @@ class QueryService {
     uint64_t get() const { return n.load(std::memory_order_relaxed); }
   };
   mutable Counter requests_, invalid_, quota_denied_, shed_, admitted_,
-      completed_, cancelled_, batches_, batched_queries_;
+      completed_, cancelled_;
 
   // Per-tenant token buckets (steady-clock refill).
   struct Bucket {
@@ -161,14 +143,6 @@ class QueryService {
   };
   std::mutex quota_mu_;
   std::map<std::string, Bucket> buckets_;
-
-  // Micro-batcher state: keyed by canonical term list, flushed by a
-  // dedicated thread once a batch's window expires (or at Stop).
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::map<std::string, PendingBatch> pending_batches_;
-  bool batcher_stop_ = false;
-  std::thread batcher_;
 
   bool stopped_ = false;
 };

@@ -169,7 +169,8 @@ TEST(DatabaseTest, KnnAndRankedQueriesThroughTheFacade) {
 
   // kNN: prefix of the full result, closest first.
   const auto full = db.RunSkQuery(q, qe);
-  const auto knn = db.RunKnnQuery(q, qe, 3);
+  std::vector<SkResult> knn;
+  ASSERT_TRUE(db.RunKnnQuery(q, qe, 3, &knn).ok());
   ASSERT_LE(knn.size(), 3u);
   ASSERT_LE(knn.size(), full.size());
   for (size_t i = 0; i < knn.size(); ++i) {
@@ -182,7 +183,8 @@ TEST(DatabaseTest, KnnAndRankedQueriesThroughTheFacade) {
   rq.sk.terms = anchor.terms;  // several keywords, OR semantics
   rq.k = 5;
   rq.alpha = 0.5;
-  const auto ranked = db.RunRankedQuery(rq, qe);
+  std::vector<RankedResult> ranked;
+  ASSERT_TRUE(db.RunRankedQuery(rq, qe, &ranked).ok());
   EXPECT_FALSE(ranked.empty());
   for (size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_LE(ranked[i - 1].score, ranked[i].score + 1e-12);

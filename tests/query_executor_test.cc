@@ -310,8 +310,8 @@ TEST(QueryExecutorTest, ErrorsAndSlowQueriesAreRecordedWithoutSampling) {
 TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   // Regression for the server-facing bug: Submit blocks forever when the
   // queue is full, which on a network thread means one overload wedges
-  // the whole front end. TrySubmitQuery must answer "no" immediately (or
-  // within its bounded wait) instead.
+  // the whole front end. TrySubmitQuery must answer "no" immediately
+  // instead.
   ExecutorConfig config;
   config.num_threads = 1;
   config.queue_capacity = 2;
@@ -340,28 +340,18 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   }
   EXPECT_EQ(admitted, config.queue_capacity);
 
-  // Queue is now full: an immediate TrySubmit is rejected without
-  // blocking, and a bounded-wait TrySubmit gives up within its budget.
+  // Queue is now full: a further TrySubmit is rejected without blocking.
   EXPECT_FALSE(
       exec.TrySubmitQuery([](QueryContext*) { return Status::Ok(); }));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(exec.TrySubmitQuery(
-      [](QueryContext*) { return Status::Ok(); }, /*wait_millis=*/20.0));
-  const double waited =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_GE(waited, 15.0);   // honored the bounded wait...
-  EXPECT_LT(waited, 5000.0);  // ...but never blocked indefinitely
 
   release.store(true);
   const QueryExecutor::DrainResult res = exec.Drain();
   // Everything admitted ran; nothing rejected leaked into the queue.
   EXPECT_EQ(res.samples.size(), 1 + admitted);
 
-  // After the drain there is space again: a bounded-wait submit succeeds.
-  EXPECT_TRUE(exec.TrySubmitQuery(
-      [](QueryContext*) { return Status::Ok(); }, /*wait_millis=*/1000.0));
+  // After the drain there is space again: an immediate submit succeeds.
+  EXPECT_TRUE(
+      exec.TrySubmitQuery([](QueryContext*) { return Status::Ok(); }));
   exec.Drain();
 }
 

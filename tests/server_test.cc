@@ -403,78 +403,6 @@ TEST_F(ServerTest, QuotaDeniesBeyondBurst) {
   EXPECT_EQ(c.admitted, c.completed);
 }
 
-TEST_F(ServerTest, BatchedExecutionIsBitIdenticalToUnbatched) {
-  // Reference: no batching.
-  std::vector<std::string> want(3);
-  {
-    ServiceConfig config;
-    config.threads = 1;
-    config.metrics = nullptr;
-    QueryService service(db_, config);
-    Collector col;
-    for (int i = 0; i < 3; ++i) {
-      service.Submit(RequestLine(workload_->queries[i], ""), "t", col.Make());
-    }
-    col.Await(3);
-    service.Stop();
-    want = col.responses;
-  }
-
-  // Same three queries, submitted twice each within one batching window.
-  ServiceConfig config;
-  config.threads = 2;
-  config.batch_window_ms = 50.0;
-  config.metrics = nullptr;
-  QueryService service(db_, config);
-  Collector col;
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      service.Submit(RequestLine(workload_->queries[i], ""), "t", col.Make());
-    }
-  }
-  col.Await(6);
-  service.Stop();
-
-  const ServiceCounters c = service.counters();
-  EXPECT_EQ(c.admitted, 6u);
-  EXPECT_EQ(c.admitted, c.completed);
-  EXPECT_GT(c.batches, 0u);
-  EXPECT_GE(c.batched_queries, 2u);
-
-  // Compare the query-result payload bit for bit: status, count and the
-  // full results array (%.17g doubles), ignoring the volatile fields
-  // (ms, io, batched).
-  const auto payload = [](const std::string& response) {
-    JsonValue doc;
-    EXPECT_TRUE(JsonValue::Parse(response, &doc).ok()) << response;
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("status").Value(doc.Find("status")->string_value());
-    w.Key("count").Value(doc.Find("count")->number());
-    w.Key("results").BeginArray();
-    for (const JsonValue& r : doc.Find("results")->array()) {
-      w.BeginObject()
-          .Key("object")
-          .Value(r.Find("object")->number())
-          .Key("dist")
-          .Value(r.Find("dist")->number())
-          .EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-    return w.Take();
-  };
-  std::multiset<std::string> expected, actual;
-  for (const std::string& r : want) {
-    expected.insert(payload(r));
-    expected.insert(payload(r));  // each reference runs twice in the batch
-  }
-  for (const std::string& r : col.responses) {
-    actual.insert(payload(r));
-  }
-  EXPECT_EQ(expected, actual);
-}
-
 // ---------------------------------------------------------------------------
 // Over the wire
 

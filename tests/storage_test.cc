@@ -268,6 +268,14 @@ TEST(BufferPoolTest, SetCapacityBelowPinnedSetDefersShrink) {
   EXPECT_LE(pool.num_frames_in_use(), 1u);
 }
 
+// A threadsafe-style death test re-runs the whole test body in a child
+// process, so the child builds a TestDisk of its own and aborts before its
+// destructor can remove the files. The child unlinks them first; its open
+// descriptors keep the backend usable up to the fatal call.
+void UnlinkBeforeDying(const dsks::testing::TestDisk& disk) {
+  dsks::testing::RemoveDiskFiles(disk.options());
+}
+
 TEST(BufferPoolDeathTest, DoubleUnpinIsFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   dsks::testing::TestDisk disk;
@@ -275,14 +283,26 @@ TEST(BufferPoolDeathTest, DoubleUnpinIsFatal) {
   BufferPool pool(disk.get(), 2);
   dsks::testing::MustFetch(&pool, a);
   pool.UnpinPage(a, false);
-  EXPECT_DEATH(pool.UnpinPage(a, false), "unpin of unpinned page");
+  EXPECT_DEATH(
+      {
+        UnlinkBeforeDying(disk);
+        pool.UnpinPage(a, false);
+      },
+      "unpin of unpinned page");
 }
 
 TEST(DiskManagerDeathTest, ReadOfUnallocatedPageIsFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   dsks::testing::TestDisk disk;
   char buf[kPageSize];
-  EXPECT_DEATH(disk->ReadPage(7, buf), "unallocated");
+  // Under DSKS_TEST_BACKEND=file this reaches FileDiskBackend's own
+  // "read of unallocated page" CHECK through the still-open descriptor.
+  EXPECT_DEATH(
+      {
+        UnlinkBeforeDying(disk);
+        disk->ReadPage(7, buf);
+      },
+      "unallocated");
 }
 
 TEST(PageGuardTest, ReleasesOnDestruction) {

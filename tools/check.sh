@@ -52,8 +52,8 @@ for san in "${sanitizers[@]}"; do
         "./tests/$t" --gtest_brief=1)
   done
   # The query-service suite on its own too: the TCP front end is where
-  # worker threads, the batcher, the poll loop and client threads all
-  # meet, so a data race there should be attributed loudly, like chaos.
+  # worker threads, the poll loop and client threads all meet, so a data
+  # race there should be attributed loudly, like chaos.
   echo "=== $san sanitizer: query service (server_test under $san) ==="
   (cd "$dir" && TSAN_OPTIONS="die_after_fork=0" ./tests/server_test \
       --gtest_brief=1)
@@ -194,17 +194,31 @@ EOF
     --read-fault-p 0.002 --retries 2 --seed 42
   echo "=== chaos smoke: OK ==="
 
-  # Server smoke: start the query server, run one valid and one malformed
-  # query over the socket, scrape the shared-listener observability
-  # routes, then stop it with SIGTERM and expect a clean summary. Then an
-  # overload drill at ~4x capacity whose JSON record must pass the schema
-  # + exact-admission gate with real shedding, and the end-to-end chaos
-  # drill over a socket. Note: no DSKS_IO_DELAY_US=0 here — the sim
-  # disk's default per-read delay is what makes the drill actually
-  # saturate its tiny queue.
+  # Server smoke: start the query server with every query traced, run one
+  # valid and one malformed query over the socket, scrape the
+  # shared-listener observability routes (/tracez must hold the traced
+  # query), then stop it with SIGTERM and expect a clean summary. Then an
+  # overload drill whose JSON record must pass the schema + exact-admission
+  # gate with real shedding, and the end-to-end chaos drill over a socket.
+  # serve, drill and chaos never set a simulated read delay, so reads cost
+  # no added latency; the drill sheds because its 8 clients pipeline all
+  # their requests at once into an 8-deep queue behind 2 workers.
   echo "=== server smoke: serve, query, scrape, overload drill, shutdown ==="
+  # Removed options and commands must be rejected, not silently ignored:
+  # the micro-batcher's window, the bounded submit wait and the
+  # stats-only serving command are gone.
+  for bad in "serve --batch-window-ms 1" "serve --submit-wait-ms 1" \
+             "drill --batch-window-ms 1" "serve-stats"; do
+    status=0
+    # shellcheck disable=SC2086  # $bad is a command and its flags
+    ./build-perf/tools/dsks_cli $bad > /dev/null 2>&1 || status=$?
+    if [ "$status" != 2 ]; then
+      echo "server smoke: 'dsks_cli $bad' exited $status, want 2" >&2
+      exit 1
+    fi
+  done
   rm -f build-perf/serve_smoke.out
-  ./build-perf/tools/dsks_cli serve --port 0 --duration-ms 120000 \
+  ./build-perf/tools/dsks_cli serve --port 0 --sample 1 --duration-ms 120000 \
       > build-perf/serve_smoke.out &
   serve_pid=$!
   serve_port=""
@@ -247,6 +261,21 @@ EOF
     echo "server smoke: /statusz does not show the admitted query" >&2
     exit 1
   }
+  # The worker records a query's trace just after its response is sent,
+  # so poll /tracez briefly instead of racing that hand-off.
+  python3 - "$serve_port" <<'EOF'
+import json, sys, time, urllib.request
+url = f"http://127.0.0.1:{sys.argv[1]}/tracez"
+for _ in range(50):
+    snap = json.load(urllib.request.urlopen(url, timeout=10))
+    if snap["recorded"] >= 1:
+        break
+    time.sleep(0.1)
+else:
+    sys.exit("server smoke: /tracez recorded nothing after a query under "
+             "--sample 1")
+print(f"server smoke: /tracez recorded {snap['recorded']} queries")
+EOF
   curl -fsS "http://127.0.0.1:$serve_port/healthz" > /dev/null
   kill -TERM "$serve_pid"
   wait "$serve_pid" || {
@@ -266,7 +295,7 @@ EOF
 import json, sys
 rec = json.load(open(sys.argv[1]))
 if rec["server_shed"] == 0:
-    sys.exit("server smoke: drill at 4x capacity shed nothing — the "
+    sys.exit("server smoke: overload drill shed nothing — the "
              "overload probe is not probing overload")
 print(f"server smoke: drill shed {rec['server_shed']} of "
       f"{rec['server_offered']} offered, exactly accounted")

@@ -22,13 +22,6 @@
 //       Build a synthetic database, run a small concurrent workload, and
 //       dump the metrics registry (storage counters bound as live sources
 //       plus the executor's latency histogram).
-//   dsks_cli serve-stats [--port P] [--scale F] [--index sif] [--threads N]
-//             [--queries N] [--sample N] [--slow-ms F] [--duration-ms N]
-//       Build a synthetic database, run a continuous sampled-traced
-//       workload, and serve live telemetry from a query server's HTTP
-//       routes: /metrics (Prometheus), /varz (JSON registry), /tracez
-//       (flight recorder), /healthz. --port 0 picks an ephemeral port
-//       (printed on stdout); --duration-ms 0 serves until killed.
 //   dsks_cli chaos [--scale F] [--index sif] [--queries N] [--threads N]
 //             [--read-fault-p P] [--write-fault-p P] [--corrupt-p P]
 //             [--seed S] [--retries R] [--socket]
@@ -39,16 +32,17 @@
 //       server: requests go over loopback as JSON lines and every failure
 //       comes back as a Status-coded response.
 //   dsks_cli serve [--port P] [--scale F] [--index sif] [--threads N]
-//             [--queue N] [--deadline-ms D] [--batch-window-ms W]
-//             [--quota-qps Q] [--quota-burst B] [--submit-wait-ms S]
-//             [--duration-ms N]
+//             [--queue N] [--deadline-ms D] [--quota-qps Q]
+//             [--quota-burst B] [--sample N] [--duration-ms N]
 //       Build a synthetic database and serve the NDJSON query protocol
 //       plus the observability routes (/metrics /varz /tracez /healthz
 //       /statusz) on one loopback listener until SIGINT/SIGTERM (or
 //       --duration-ms). --port 0 picks an ephemeral port (printed).
+//       --sample N traces 1 in N queries into the flight recorder that
+//       /tracez serves. This is the only command that keeps a server up.
 //   dsks_cli drill [--scale F] [--index sif] [--threads N] [--queue N]
 //             [--clients N] [--queries N] [--deadline-ms D] [--invalid-p P]
-//             [--batch-window-ms W] [--quota-qps Q]
+//             [--quota-qps Q]
 //       Overload drill: an in-process query server hammered over real
 //       sockets by N pipelining clients at a multiple of its capacity,
 //       with /metrics scraped throughout. Verifies the admission
@@ -216,24 +210,18 @@ int Usage() {
                "  dsks_cli metrics [--scale 0.03] [--index sif]\n"
                "           [--queries 32] [--threads 2]\n"
                "           [--format=json|prometheus]\n"
-               "  dsks_cli serve-stats [--port 0] [--scale 0.03] "
-               "[--index sif]\n"
-               "           [--threads 2] [--queries 64] [--sample 16]\n"
-               "           [--slow-ms 0] [--duration-ms 0]\n"
                "  dsks_cli chaos [--scale 0.03] [--index sif] [--queries 256]\n"
                "           [--threads 8] [--read-fault-p 0.001]\n"
                "           [--write-fault-p 0] [--corrupt-p 0] [--seed 42]\n"
                "           [--retries 0] [--socket]\n"
                "  dsks_cli serve [--port 0] [--scale 0.03] [--index sif]\n"
                "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
-               "           [--batch-window-ms 0] [--quota-qps 0]\n"
-               "           [--quota-burst 8] [--submit-wait-ms 0]\n"
+               "           [--quota-qps 0] [--quota-burst 8] [--sample 0]\n"
                "           [--duration-ms 0]\n"
                "  dsks_cli drill [--scale 0.03] [--index sif] [--threads 4]\n"
                "           [--queue 16] [--clients 8] [--queries 64]\n"
-               "           [--deadline-ms 0] [--invalid-p 0]\n"
-               "           [--batch-window-ms 0] [--quota-qps 0]\n"
-               "query/metrics/serve-stats/chaos/serve/drill also accept "
+               "           [--deadline-ms 0] [--invalid-p 0] [--quota-qps 0]\n"
+               "query/metrics/chaos/serve/drill also accept "
                "storage-backend flags\n"
                "(the last two with --backend file only):\n"
                "           [--backend sim|file] [--backend-path PATH] "
@@ -385,8 +373,8 @@ IndexOptions IndexOptionsByName(const std::string& index_name) {
   return opts;
 }
 
-/// The synthetic database behind metrics, serve-stats, serve, drill and
-/// chaos: --preset and --scale pick the dataset, --index its index.
+/// The synthetic database behind metrics, serve, drill and chaos: --preset
+/// and --scale pick the dataset, --index its index.
 struct PresetFlags {
   DatasetConfig dataset;
   IndexOptions index;
@@ -651,97 +639,6 @@ int CmdMetrics(const Args& args) {
   return 0;
 }
 
-int CmdServeStats(const Args& args) {
-  // A live telemetry demo: synthetic database, continuous sampled-traced
-  // workload, and a query server on loopback whose HTTP routes serve the
-  // registry and the flight recorder.
-  const PresetFlags preset = ReadPresetFlags(args);
-  const auto port =
-      static_cast<uint16_t>(args.GetSize("port", 0, 0, 65535));
-  const size_t threads = args.GetSize("threads", 2, 1, 1024);
-  const size_t num_queries = args.GetSize("queries", 64, 1, 1u << 20);
-  const auto sample =
-      static_cast<uint32_t>(args.GetSize("sample", 16, 0, 1u << 20));
-  const double slow_ms = args.GetDouble("slow-ms", 0.0, 0.0, 1e9);
-  const size_t duration_ms = args.GetSize("duration-ms", 0, 0, SIZE_MAX);
-  CliBackend backend(args);
-  args.RejectUnknown();
-
-  Database db(preset.dataset, backend.options());
-  db.BuildIndex(preset.index);
-  db.PrepareForQueries();
-
-  obs::MetricsRegistry& registry = obs::GlobalMetrics();
-  db.BindMetrics(&registry, "db");
-  obs::FlightRecorder recorder;
-  recorder.set_occupancy_gauge(
-      &registry.gauge("dsks.flight_recorder.entries"));
-  server::ServerConfig sc;
-  sc.service.metrics = &registry;
-  sc.service.flight_recorder = &recorder;
-  server::QueryServer server(&db, sc);
-  if (const Status s = server.Start(port); !s.ok()) {
-    std::fprintf(stderr, "stats server failed to start: %s\n",
-                 s.ToString().c_str());
-    db.UnbindMetrics(&registry, "db");
-    return 1;
-  }
-  std::printf("serving stats on http://127.0.0.1:%u "
-              "(/metrics /varz /tracez /healthz)\n",
-              server.port());
-  std::fflush(stdout);
-
-  WorkloadConfig wc;
-  wc.num_queries = num_queries;
-  wc.num_keywords = 2;
-  wc.seed = 7;
-  const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
-  ExecutorConfig config;
-  config.num_threads = threads;
-  config.metrics = &registry;
-  config.sampling.sample_every = sample;
-  config.sampling.slow_ms = slow_ms;
-  config.sampling.seed = 42;
-  config.flight_recorder = &recorder;
-  uint64_t passes = 0;
-  uint64_t sampled = 0;
-  Timer total;
-  {
-    QueryExecutor exec(config);
-    for (;;) {
-      for (const WorkloadQuery& wq : wl.queries) {
-        const WorkloadQuery* q = &wq;
-        QueryTag tag;
-        tag.kind = "sk";
-        tag.terms = static_cast<uint32_t>(q->sk.terms.size());
-        exec.SubmitQuery(tag, [&db, q](QueryContext* ctx) {
-          std::vector<SkResult> results;
-          return db.RunSkQuery(q->sk, q->edge, &results, ctx);
-        });
-      }
-      const QueryExecutor::DrainResult drained = exec.Drain();
-      sampled += drained.sampled;
-      ++passes;
-      if (duration_ms > 0 &&
-          total.ElapsedMillis() >= static_cast<double>(duration_ms)) {
-        break;
-      }
-      // Pace the load so an open-ended serve doesn't pin the CPU; scrapes
-      // between passes still see live counters.
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  }
-  server.Stop();
-  std::printf("served %.1f s: %llu workload passes, %llu sampled traces, "
-              "%llu recorded\n",
-              total.ElapsedMillis() / 1000.0,
-              static_cast<unsigned long long>(passes),
-              static_cast<unsigned long long>(sampled),
-              static_cast<unsigned long long>(recorder.recorded()));
-  db.UnbindMetrics(&registry, "db");
-  return 0;
-}
-
 /// Renders one workload query as a protocol request line for the socket
 /// drills. `invalid` deliberately malforms it (negative delta) to exercise
 /// the INVALID_ARGUMENT path end-to-end.
@@ -860,9 +757,6 @@ int CmdServe(const Args& args) {
   sc.service.queue_capacity = args.GetSize("queue", 64, 1, 1u << 20);
   sc.service.default_deadline_ms =
       args.GetDouble("deadline-ms", 0.0, 0.0, 1e9);
-  sc.service.batch_window_ms =
-      args.GetDouble("batch-window-ms", 0.0, 0.0, 1e6);
-  sc.service.submit_wait_ms = args.GetDouble("submit-wait-ms", 0.0, 0.0, 1e6);
   sc.service.quota.rate_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
   sc.service.quota.burst = args.GetDouble("quota-burst", 8.0, 1.0, 1e9);
   sc.service.sampling.sample_every =
@@ -929,8 +823,6 @@ int CmdDrill(const Args& args) {
   const size_t queries_per_client = args.GetSize("queries", 64, 1, 1u << 20);
   const double deadline_ms = args.GetDouble("deadline-ms", 0.0, 0.0, 1e9);
   const double invalid_p = args.GetDouble("invalid-p", 0.0, 0.0, 1.0);
-  const double batch_window_ms =
-      args.GetDouble("batch-window-ms", 0.0, 0.0, 1e6);
   const double quota_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
   CliBackend backend(args);
   args.RejectUnknown();
@@ -944,7 +836,6 @@ int CmdDrill(const Args& args) {
   sc.service.threads = threads;
   sc.service.queue_capacity = queue;
   sc.service.default_deadline_ms = deadline_ms;
-  sc.service.batch_window_ms = batch_window_ms;
   sc.service.quota.rate_qps = quota_qps;
   sc.service.metrics = &registry;
   server::QueryServer server(&db, sc);
@@ -1055,8 +946,6 @@ int CmdDrill(const Args& args) {
   w.Key("server_invalid").Value(sv.invalid);
   w.Key("server_quota_denied").Value(sv.quota_denied);
   w.Key("server_cancelled").Value(sv.cancelled);
-  w.Key("server_batches").Value(sv.batches);
-  w.Key("server_batched_queries").Value(sv.batched_queries);
   w.Key("server_client_ok").Value(client_ok);
   w.Key("server_client_cancelled").Value(client_cancelled);
   w.Key("server_client_rejected").Value(client_rejected);
@@ -1255,9 +1144,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "metrics") {
     return CmdMetrics(args);
-  }
-  if (cmd == "serve-stats") {
-    return CmdServeStats(args);
   }
   if (cmd == "chaos") {
     return CmdChaos(args);
