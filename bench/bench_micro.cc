@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: Z-order
 // encoding, Dijkstra, CCAM adjacency loads, B+tree lookups, signature
 // tests, LoadObjects, core-pair maintenance, the full SK search, the flat
-// hot-path containers and the pairwise distance oracle strategies.
+// hot-path containers, the pairwise distance oracle strategies and the
+// buffer pool's fetch hit and miss paths.
 //
 // Results are written to BENCH_micro.json (google-benchmark JSON format)
 // in the working directory, alongside the usual console table.
@@ -15,6 +16,7 @@
 
 #include "btree/bplus_tree.h"
 #include "common/flat_containers.h"
+#include "common/macros.h"
 #include "common/random.h"
 #include "core/core_pairs.h"
 #include "core/distance_oracle.h"
@@ -113,6 +115,63 @@ void BM_CcamAdjacency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CcamAdjacency);
+
+/// A sim disk of `num_pages` pages behind a pool of `capacity` frames, for
+/// the pool benches. Built once per bench and shared by all its threads.
+struct PoolWorld {
+  DiskManager disk;
+  BufferPool pool;
+  PageId num_pages;
+
+  PoolWorld(PageId pages, size_t capacity)
+      : pool(&disk, capacity), num_pages(pages) {
+    for (PageId i = 0; i < pages; ++i) {
+      disk.AllocatePage();
+    }
+  }
+};
+
+/// FetchPage + UnpinPage on `w`'s pages in turn, each thread from its own
+/// offset.
+void FetchPagesInTurn(benchmark::State& state, PoolWorld* w) {
+  PageId id = static_cast<PageId>(state.thread_index()) * w->num_pages /
+              static_cast<PageId>(state.threads());
+  for (auto _ : state) {
+    char* data = nullptr;
+    if (!w->pool.FetchPage(id, &data).ok()) {
+      state.SkipWithError("fetch failed");
+      break;
+    }
+    benchmark::DoNotOptimize(data);
+    w->pool.UnpinPage(id, /*dirty=*/false);
+    id = (id + 1) % w->num_pages;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+/// The pool's hit path: every page is resident.
+void BM_PoolFetchHit(benchmark::State& state) {
+  static PoolWorld* w = [] {
+    auto* world = new PoolWorld(256, 256);
+    char* data = nullptr;
+    for (PageId id = 0; id < world->num_pages; ++id) {
+      DSKS_CHECK(world->pool.FetchPage(id, &data).ok());
+      world->pool.UnpinPage(id, /*dirty=*/false);
+    }
+    return world;
+  }();
+  FetchPagesInTurn(state, w);
+}
+BENCHMARK(BM_PoolFetchHit)->Threads(1)->Threads(2)->Threads(4);
+
+/// The pool's miss path at zero device delay: 4096 pages cycled through 64
+/// frames, so LRU has evicted every page long before its next turn. Each
+/// fetch evicts a frame, makes one and reads one page (copy + CRC check).
+void BM_PoolFetchMiss(benchmark::State& state) {
+  static PoolWorld* w = new PoolWorld(4096, 64);
+  FetchPagesInTurn(state, w);
+}
+BENCHMARK(BM_PoolFetchMiss)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_BPlusTreeGet(benchmark::State& state) {
   DiskManager disk;

@@ -78,14 +78,25 @@ double EvaluateObjective(const Objective& objective,
   if (k < 2) {
     return 0.0;
   }
+  // Sum in (dist, id) order: SEQ and COM hold the same set in different
+  // orders, and a floating-point sum depends on its order.
+  std::vector<const SkResult*> order;
+  order.reserve(k);
+  for (const SkResult& r : selected) {
+    order.push_back(&r);
+  }
+  std::sort(order.begin(), order.end(),
+            [](const SkResult* a, const SkResult* b) {
+              return a->dist != b->dist ? a->dist < b->dist : a->id < b->id;
+            });
   std::vector<double> dq;
   dq.reserve(k);
   std::vector<double> pw(k * k, 0.0);
   for (size_t u = 0; u < k; ++u) {
-    dq.push_back(selected[u].dist);
+    dq.push_back(order[u]->dist);
     for (size_t v = 0; v < k; ++v) {
       if (u != v) {
-        pw[u * k + v] = oracle->Distance(selected[u], selected[v]);
+        pw[u * k + v] = oracle->Distance(*order[u], *order[v]);
       }
     }
   }

@@ -61,6 +61,8 @@ DivSearchOutput DiversifiedSearchCOM(IncrementalSkSearch* search,
                                      PairwiseDistanceOracle* oracle);
 
 /// f(S) of an explicit selection, using the oracle for pairwise distances.
+/// Summed in (dist, id) order, so it does not depend on the order of
+/// `selected`.
 double EvaluateObjective(const Objective& objective,
                          PairwiseDistanceOracle* oracle,
                          const std::vector<SkResult>& selected);

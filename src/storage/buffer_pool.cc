@@ -36,72 +36,60 @@ BufferPool::Frame* BufferPool::GetFrameLocked(PageId id) {
   return it == frames_.end() ? nullptr : &it->second;
 }
 
-char* BufferPool::PinHitLocked(Frame* frame) {
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargePoolHit();
-  if (frame->prefetched) {
-    // First demand touch of a speculatively read page: the prefetch paid
-    // off. The flag resolves exactly once per issued prefetch.
-    frame->prefetched = false;
-    stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (frame->in_lru) {
-    lru_.erase(frame->lru_pos);
-    frame->in_lru = false;
-  }
-  ++frame->pin_count;
-  return frame->data.get();
-}
-
-Status BufferPool::FetchPage(PageId id, char** out) {
-  std::unique_lock<std::mutex> lock(latch_);
-  for (;;) {
-    Frame* frame = GetFrameLocked(id);
-    if (frame == nullptr) {
-      break;
-    }
-    if (frame->io_in_progress) {
-      // Another thread is reading this page from disk; wait for it rather
-      // than double-reading. The frame may be evicted between wake-ups —
-      // or erased entirely if that read *failed* — so re-look it up each
-      // time; a failed read leaves no frame and we retry as a fresh miss.
-      io_done_.wait(lock);
-      continue;
-    }
-    *out = PinHitLocked(frame);
-    return Status::Ok();
-  }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargePoolMiss();
+BufferPool::Frame* BufferPool::ReserveFrameLocked(PageId id) {
   if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
     // Best effort: when every frame is pinned this fails and the pool
     // temporarily runs over capacity (UnpinPage trims back down).
     TryEvictOneLocked();
   }
-  Frame& f = frames_[id];
-  f.data = std::make_unique<char[]>(kPageSize);
+  auto [it, inserted] = frames_.try_emplace(id);
+  DSKS_DCHECK_MSG(inserted, "reserving a frame for a resident page");
+  Frame& f = it->second;
+  // The read (or NewPage's memset) overwrites every byte, so the buffer
+  // is not zeroed here.
+  f.data = std::make_unique_for_overwrite<char[]>(kPageSize);
   f.page_id = id;
   f.pin_count = 1;
-  f.dirty = false;
-  f.in_lru = false;
   f.io_in_progress = true;
-  // Read outside the latch so concurrent misses on *different* pages
-  // overlap their (simulated) disk latency. The frame is pinned and not in
-  // the LRU, so nothing can evict it meanwhile; unordered_map guarantees
-  // the reference stays valid across other threads' inserts/erases.
-  lock.unlock();
-  const Status status = disk_->ReadPage(id, f.data.get());
-  lock.lock();
-  if (!status.ok()) {
-    // The read failed: drop the in-flight frame so waiters (and future
-    // fetches) retry from scratch instead of pinning garbage.
-    frames_.erase(id);
-    io_done_.notify_all();
-    return status;
+  return &f;
+}
+
+bool BufferPool::PinResidentLocked(std::span<const PageId> ids,
+                                   std::span<char*> outs) {
+  bool all_pinned = true;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (outs[i] != nullptr) {
+      continue;
+    }
+    Frame* frame = GetFrameLocked(ids[i]);
+    if (frame == nullptr || frame->io_in_progress) {
+      all_pinned = false;
+      continue;
+    }
+    stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    obs::ChargePoolHit();
+    if (frame->prefetched) {
+      // First demand touch of a speculatively read page: the prefetch paid
+      // off. The flag resolves exactly once per issued prefetch.
+      frame->prefetched = false;
+      stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (frame->in_lru) {
+      lru_.erase(frame->lru_pos);
+      frame->in_lru = false;
+    }
+    ++frame->pin_count;
+    outs[i] = frame->data.get();
   }
-  f.io_in_progress = false;
-  io_done_.notify_all();
-  *out = f.data.get();
+  return all_pinned;
+}
+
+Status BufferPool::FetchPage(PageId id, char** out) {
+  // A local slot keeps `*out` untouched when the fetch fails.
+  char* data = nullptr;
+  DSKS_RETURN_IF_ERROR(FetchPages(std::span<const PageId>(&id, 1),
+                                  std::span<char*>(&data, 1)));
+  *out = data;
   return Status::Ok();
 }
 
@@ -116,97 +104,70 @@ Status BufferPool::FetchPages(std::span<const PageId> ids,
     }
   }
 #endif
-  if (ids.empty()) {
-    return Status::Ok();
-  }
+  // nullptr in outs[i] marks "not pinned by this call (yet)", both for the
+  // next pass and for the all-or-nothing rollback below.
+  std::fill(outs.begin(), outs.end(), nullptr);
+  Status first = Status::Ok();
   std::unique_lock<std::mutex> lock(latch_);
-  // nullptr in outs[i] marks "not pinned by this call (yet)" for the
-  // all-or-nothing rollback below.
-  for (char*& out : outs) {
-    out = nullptr;
-  }
-  // Classification never blocks: a page in flight on *another* thread is
-  // deferred to a plain FetchPage after our own batch resolves. Waiting
-  // here would deadlock two concurrent FetchPages calls that each hold
-  // not-yet-started in-flight frames the other is waiting on.
-  std::vector<size_t> miss_index;
-  std::vector<size_t> deferred_index;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Frame* frame = GetFrameLocked(ids[i]);
-    if (frame != nullptr) {
-      if (frame->io_in_progress) {
-        deferred_index.push_back(i);
-      } else {
-        outs[i] = PinHitLocked(frame);
+  while (!PinResidentLocked(ids, outs)) {
+    // What is left is missing, or in flight on another thread. Never wait
+    // while holding not-yet-read frames of our own: two calls that each
+    // wait on the other's would deadlock.
+    std::vector<PageReadRequest> reqs;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (outs[i] != nullptr || GetFrameLocked(ids[i]) != nullptr) {
+        continue;
       }
+      stats_.misses.fetch_add(1, std::memory_order_relaxed);
+      obs::ChargePoolMiss();
+      outs[i] = ReserveFrameLocked(ids[i])->data.get();
+      reqs.emplace_back().id = ids[i];
+      reqs.back().out = outs[i];
+    }
+    if (reqs.empty()) {
+      // Only other threads' reads are left, and the latch was held since
+      // they were seen, so their completion cannot be missed.
+      io_done_.wait(lock);
       continue;
     }
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    obs::ChargePoolMiss();
-    if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-      TryEvictOneLocked();
-    }
-    Frame& f = frames_[ids[i]];
-    f.data = std::make_unique<char[]>(kPageSize);
-    f.page_id = ids[i];
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_lru = false;
-    f.io_in_progress = true;
-    miss_index.push_back(i);
-  }
-  Status first = Status::Ok();
-  if (!miss_index.empty()) {
-    // One batched disk round trip for every miss, outside the latch; the
-    // in-flight frames are pinned and off the LRU, so nothing evicts them.
-    std::vector<PageReadRequest> reqs(miss_index.size());
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      reqs[k].id = ids[miss_index[k]];
-      reqs[k].out = frames_[reqs[k].id].data.get();
-    }
+    // One batched disk round trip for every miss, outside the latch. The
+    // in-flight frames are pinned and off the LRU, so nothing evicts them,
+    // and unordered_map keeps them in place across other threads' inserts
+    // and erases.
     lock.unlock();
     disk_->ReadPages(std::span<PageReadRequest>(reqs));
     lock.lock();
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      const size_t i = miss_index[k];
-      Frame* frame = GetFrameLocked(ids[i]);
+    for (PageReadRequest& r : reqs) {
+      Frame* frame = GetFrameLocked(r.id);
       DSKS_CHECK(frame != nullptr);
-      if (reqs[k].status.ok()) {
+      if (r.status.ok()) {
         frame->io_in_progress = false;
-        outs[i] = frame->data.get();
-      } else {
-        frames_.erase(ids[i]);
-        if (first.ok()) {
-          first = std::move(reqs[k].status);
-        }
+        continue;
+      }
+      // Drop the failed frame, and this call's pin with it, so waiters
+      // (and future fetches) retry from scratch instead of pinning garbage.
+      *std::find(outs.begin(), outs.end(), r.out) = nullptr;
+      frames_.erase(r.id);
+      if (first.ok()) {
+        first = std::move(r.status);
       }
     }
     io_done_.notify_all();
-  }
-  if (first.ok() && !deferred_index.empty()) {
-    // Safe to block now: this call holds no unresolved in-flight frames.
-    lock.unlock();
-    for (size_t i : deferred_index) {
-      const Status s = FetchPage(ids[i], &outs[i]);
-      if (!s.ok()) {
-        first = s;
-        break;
-      }
+    if (!first.ok()) {
+      break;
     }
-    lock.lock();
   }
   if (!first.ok()) {
     // All-or-nothing: release every pin this call took so the caller has
-    // nothing to clean up (the per-page contract of FetchPage, batched).
+    // nothing to clean up.
     for (size_t i = 0; i < ids.size(); ++i) {
       if (outs[i] != nullptr) {
         UnpinPageLocked(ids[i], /*dirty=*/false);
         outs[i] = nullptr;
       }
     }
-    return first;
   }
-  return Status::Ok();
+  return first;
 }
 
 void BufferPool::Prefetch(std::span<const PageId> ids) {
@@ -239,20 +200,10 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
       }
       continue;
     }
-    if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-      TryEvictOneLocked();
-    }
-    Frame& f = frames_[id];
-    f.data = std::make_unique<char[]>(kPageSize);
-    f.page_id = id;
     // Pinned while in flight so eviction/Clear can't touch the frame; the
     // pin drops when the frame is published below.
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_lru = false;
-    f.io_in_progress = true;
     reqs[n].id = id;
-    reqs[n].out = f.data.get();
+    reqs[n].out = ReserveFrameLocked(id)->data.get();
     ++n;
   }
   if (refused > 0) {
@@ -304,17 +255,11 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
 char* BufferPool::NewPage(PageId* id) {
   *id = disk_->AllocatePage();
   std::lock_guard<std::mutex> lock(latch_);
-  if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-    TryEvictOneLocked();
-  }
-  Frame& f = frames_[*id];
-  f.data = std::make_unique<char[]>(kPageSize);
-  std::memset(f.data.get(), 0, kPageSize);
-  f.page_id = *id;
-  f.pin_count = 1;
-  f.dirty = true;
-  f.in_lru = false;
-  return f.data.get();
+  Frame* f = ReserveFrameLocked(*id);
+  std::memset(f->data.get(), 0, kPageSize);
+  f->dirty = true;
+  f->io_in_progress = false;
+  return f->data.get();
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {

@@ -132,19 +132,21 @@ class BufferPool {
   ~BufferPool();
 
   /// Pins page `id` and stores a pointer to its contents in `*out`; the
-  /// pointer stays valid until the matching UnpinPage. Pin pressure never
-  /// fails (the pool over-allocates a temporary frame instead); a non-OK
-  /// status (IOError / Corruption from the disk read) means the page is
-  /// NOT pinned and `*out` is untouched, so there is nothing to unpin.
+  /// pointer stays valid until the matching UnpinPage. A batch of one:
+  /// FetchPages with a single id, except that `*out` is left untouched
+  /// when the fetch fails.
   Status FetchPage(PageId id, char** out);
 
-  /// Batched FetchPage: pins every page of `ids` (same contract per page
-  /// as FetchPage) resolving all misses with a single DiskManager batch
-  /// read and one latch pass, so K cold pages cost one device round trip
-  /// instead of K. All-or-nothing: on any page's failure every pin this
-  /// call took is released and the first error is returned (`outs` is then
-  /// unspecified, nothing is left pinned). `ids` must be duplicate-free —
-  /// a duplicate would wait on its own in-flight read.
+  /// Pins every page of `ids`, storing a pointer to page `ids[i]` in
+  /// `outs[i]`, valid until the matching UnpinPage. All misses of a pass
+  /// are read with one DiskManager batch outside the latch, so K cold
+  /// pages cost one device round trip instead of K; a page another thread
+  /// is reading is waited for, never read twice. Pin pressure never fails
+  /// (the pool over-allocates temporary frames instead). All-or-nothing:
+  /// on any page's failure (IOError / Corruption from the disk read) every
+  /// pin this call took is released, every `outs[i]` is null, and the
+  /// first error is returned, so there is nothing to unpin. `ids` must be
+  /// duplicate-free — a duplicate would wait on its own in-flight read.
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
   /// Best-effort readahead: reads the pages of `ids` not already resident
@@ -261,10 +263,18 @@ class BufferPool {
   /// Requires latch_ held.
   Frame* GetFrameLocked(PageId id);
 
-  /// Pins `*frame` as a demand hit: hit accounting (including the
-  /// prefetched-flag resolution), LRU removal, pin count. Requires latch_
-  /// held and the frame not in flight.
-  char* PinHitLocked(Frame* frame);
+  /// The only place a Frame is made: evicts one unpinned frame if the pool
+  /// is at capacity, then inserts a frame for `id` (which must not be
+  /// resident) that is pinned once and in flight, with an unzeroed buffer
+  /// the caller fills. Requires latch_ held.
+  Frame* ReserveFrameLocked(PageId id);
+
+  /// The hit pass of FetchPages: pins every page of `ids` whose `outs`
+  /// slot is null and whose frame is resident and not in flight (hit
+  /// accounting, prefetched-flag resolution, LRU removal), storing its
+  /// data in the slot. Returns true when no slot is left null. Requires
+  /// latch_ held.
+  bool PinResidentLocked(std::span<const PageId> ids, std::span<char*> outs);
 
   /// UnpinPage's body; requires latch_ held.
   void UnpinPageLocked(PageId id, bool dirty);

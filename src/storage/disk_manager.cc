@@ -1,7 +1,6 @@
 #include "storage/disk_manager.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/crc32c.h"
 #include "common/macros.h"
@@ -59,108 +58,57 @@ PageId DiskManager::AllocatePage() {
   return id;
 }
 
-Status DiskManager::ReadPage(PageId id, char* out) {
-  const bool armed = fault_injector_.armed();
-  if (armed && fault_injector_.ShouldFailRead(id)) {
-    stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::IOError("injected read fault on page " +
-                           std::to_string(id));
-  }
-  uint32_t expected_crc = 0;
-  Status s = backend_->ReadPage(id, out, &expected_crc);
-  if (!s.ok()) {
-    // Real device failures get the same accounting as injected ones.
-    if (s.IsCorruption()) {
-      stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargeDiskRead();
-  if (armed) {
-    uint32_t bit_index = 0;
-    if (fault_injector_.ShouldCorruptRead(id, &bit_index)) {
-      out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
-    }
-  }
-  // Verify the bytes actually handed to the caller — freshly copied, so
-  // cache-hot for the checksum pass — catching at-rest corruption
-  // (CorruptStoredPage, torn files) and in-flight bit flips alike.
-  if (crc32c::Value(out, kPageSize) != expected_crc) {
-    stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-    return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id));
-  }
-  return Status::Ok();
-}
-
 void DiskManager::ReadPages(std::span<PageReadRequest> batch) {
-  if (batch.empty()) {
-    return;
-  }
   const bool armed = fault_injector_.armed();
-  // Per-page policy after the backend filled a request. `armed` is passed
-  // down so the corrupt-read draw sequence matches a sequential loop:
-  // pages whose backend read failed never draw (ReadPage returns before
-  // ShouldCorruptRead in that case too).
-  auto finish = [this, armed](PageReadRequest* r) {
-    if (!r->status.ok()) {
-      if (r->status.IsCorruption()) {
-        stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    stats_.reads.fetch_add(1, std::memory_order_relaxed);
-    obs::ChargeDiskRead();
-    if (armed) {
-      uint32_t bit_index = 0;
-      if (fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
-        r->out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
-      }
-    }
-    if (crc32c::Value(r->out, kPageSize) != r->expected_crc) {
-      stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-      r->status = Status::Corruption("checksum mismatch on page " +
-                                     std::to_string(r->id));
-    }
-  };
-  if (!armed) {
-    backend_->ReadPages(batch);
-    for (PageReadRequest& r : batch) {
-      finish(&r);
-    }
-    return;
-  }
-  // Armed: draw the read-fault decision for every page first (batch order
-  // == loop order, so seeded fault counts are unchanged), then hand only
-  // the survivors to the backend.
-  std::vector<PageReadRequest> device;
-  std::vector<size_t> device_index;
-  device.reserve(batch.size());
-  device_index.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PageReadRequest& r = batch[i];
-    if (fault_injector_.ShouldFailRead(r.id)) {
+  // Every page draws its read-fault decision before any page draws a
+  // corruption, in batch order, so seeded draw sequences do not depend on
+  // how the pages are batched.
+  for (PageReadRequest& r : batch) {
+    if (armed && fault_injector_.ShouldFailRead(r.id)) {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
       r.status = Status::IOError("injected read fault on page " +
                                  std::to_string(r.id));
+    } else {
+      r.status = Status::Ok();
+    }
+  }
+  // Each run of pages that drew no fault is one backend round trip.
+  for (size_t i = 0, j = 0; i < batch.size(); i = j) {
+    j = i + 1;
+    if (!batch[i].status.ok()) {
       continue;
     }
-    device.push_back(r);
-    device_index.push_back(i);
-  }
-  if (!device.empty()) {
-    backend_->ReadPages(std::span<PageReadRequest>(device));
-  }
-  for (size_t k = 0; k < device.size(); ++k) {
-    PageReadRequest& r = batch[device_index[k]];
-    r.expected_crc = device[k].expected_crc;
-    r.status = std::move(device[k].status);
-    finish(&r);
+    while (j < batch.size() && batch[j].status.ok()) {
+      ++j;
+    }
+    const std::span<PageReadRequest> run = batch.subspan(i, j - i);
+    backend_->ReadPages(run);
+    for (PageReadRequest& r : run) {
+      if (!r.status.ok()) {
+        // Real device failures get the same accounting as injected ones;
+        // they draw no corruption.
+        if (r.status.IsCorruption()) {
+          stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
+        }
+        continue;
+      }
+      stats_.reads.fetch_add(1, std::memory_order_relaxed);
+      obs::ChargeDiskRead();
+      uint32_t bit_index = 0;
+      if (armed && fault_injector_.ShouldCorruptRead(r.id, &bit_index)) {
+        r.out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
+      }
+      // Verify the bytes handed to the caller — freshly copied, so
+      // cache-hot — catching at-rest corruption (CorruptStoredPage, torn
+      // files) and in-flight bit flips alike.
+      if (crc32c::Value(r.out, kPageSize) != r.expected_crc) {
+        stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
+        r.status = Status::Corruption("checksum mismatch on page " +
+                                      std::to_string(r.id));
+      }
+    }
   }
 }
 

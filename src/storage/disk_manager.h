@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "storage/disk_backend.h"
@@ -81,7 +83,7 @@ struct DiskStats {
 ///
 /// Integrity and failures: every WritePage records a CRC32C of the page
 /// out-of-line (so the 4 KiB image and all on-page layouts are unchanged);
-/// every ReadPage verifies the copy it returns against that checksum and
+/// every read verifies the copy it returns against that checksum and
 /// reports a mismatch as Status::Corruption. The embedded FaultInjector
 /// can make reads/writes fail with Status::IOError or silently flip a bit
 /// in a read's output (which the checksum then catches) — on *either*
@@ -89,7 +91,7 @@ struct DiskStats {
 /// from the file backend map onto the same contract: pread/pwrite errors
 /// (EIO, ...) → IOError, a short read of an allocated page → Corruption.
 ///
-/// Thread safety: AllocatePage/ReadPage/WritePage may be called from many
+/// Thread safety: AllocatePage/ReadPages/WritePage may be called from many
 /// threads. Concurrent accesses to the *same* page are safe only if at
 /// most one of them writes — which the buffer pool guarantees, since a
 /// page resident in the pool is never read from disk and a page being
@@ -116,19 +118,27 @@ class DiskManager {
   /// Allocates a zeroed page and returns its id.
   PageId AllocatePage();
 
-  /// Copies page `id` into `out` (exactly kPageSize bytes). Returns
-  /// IOError on a read fault — injected or a real pread failure (out is
-  /// unspecified) — or Corruption when the copy fails checksum
-  /// verification or the backing file ends mid-page.
-  Status ReadPage(PageId id, char* out);
-
-  /// Batched ReadPage: one backend round trip for the whole batch, with
-  /// the full per-page policy applied to every request — fault-injection
-  /// draws, stats accounting, bit-flip corruption and CRC verification all
-  /// happen per page, in batch order, so each request's `status` equals
-  /// what a sequential ReadPage loop would have returned (and seeded chaos
-  /// draw sequences are identical, batched or not).
+  /// The one read entry: copies every request's page into its `out`
+  /// (exactly kPageSize bytes) with one backend round trip for the whole
+  /// batch (one per run between pages that drew an injected read fault).
+  /// Every request's incoming status is overwritten. The per-page policy
+  /// — fault-injection draws, stats accounting, bit-flip corruption and
+  /// CRC verification — runs per page in batch order, so a request's
+  /// `status` and the seeded chaos draw sequence do not depend on how
+  /// pages are batched. A request's status is IOError on a read fault —
+  /// injected or a real pread failure (`out` unspecified) — or Corruption
+  /// when the copy fails checksum verification or the backing file ends
+  /// mid-page.
   void ReadPages(std::span<PageReadRequest> batch);
+
+  /// A one-request ReadPages.
+  Status ReadPage(PageId id, char* out) {
+    PageReadRequest request;
+    request.id = id;
+    request.out = out;
+    ReadPages(std::span<PageReadRequest>(&request, 1));
+    return std::move(request.status);
+  }
 
   /// Copies `in` (exactly kPageSize bytes) into page `id` and records its
   /// checksum. Returns IOError on a write fault (injected or real errno);
@@ -159,7 +169,7 @@ class DiskManager {
     return static_cast<uint64_t>(num_pages()) * kPageSize;
   }
 
-  /// Deterministic fault source consulted by ReadPage/WritePage.
+  /// Deterministic fault source consulted by ReadPages/WritePage.
   FaultInjector* fault_injector() { return &fault_injector_; }
 
   /// Test hook: flips `bit_index` (in [0, kPageSize*8)) of the *stored*
@@ -181,8 +191,8 @@ class DiskManager {
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix) const;
 
-  /// Simulated read latency in microseconds, applied by every ReadPage.
-  /// 0 by default; the experiment harness enables it during measured
+  /// Simulated read latency in microseconds, applied once per ReadPages
+  /// batch. 0 by default; the experiment harness enables it during measured
   /// workloads so that response times reflect I/O volume the way the
   /// paper's disk-resident setup does. Sim backend only: the file backend
   /// has real device latency, so these are documented no-ops there (reads

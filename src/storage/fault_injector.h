@@ -11,8 +11,9 @@
 namespace dsks {
 
 /// Deterministic, seedable fault source for the simulated disk. A
-/// DiskManager owns one and consults it on every ReadPage/WritePage; when
-/// disarmed (the default) the per-op cost is a single relaxed atomic load.
+/// DiskManager owns one and consults it on every page read and write;
+/// when disarmed (the default) the per-op cost is a single relaxed atomic
+/// load.
 ///
 /// Three fault mechanisms compose:
 ///  - per-op probabilities: each read/write/corruption decision hashes a
@@ -26,7 +27,7 @@ namespace dsks {
 ///    page.
 ///
 /// Corruption mode does not fail the operation: it flips one
-/// deterministically-chosen bit in the buffer returned by ReadPage, so the
+/// deterministically-chosen bit in the buffer a read returns, so the
 /// caller only notices through checksum verification (kCorruption), which
 /// is exactly the silent-corruption scenario checksums exist for.
 class FaultInjector {

@@ -258,25 +258,6 @@ Status FileDiskBackend::PwritePage(PageId id, const char* in) {
   return Status::Ok();
 }
 
-Status FileDiskBackend::ReadPage(PageId id, char* out,
-                                 uint32_t* expected_crc) {
-  size_t physical;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DSKS_CHECK_MSG(id < checksums_.size(), "read of unallocated page");
-    *expected_crc = checksums_[id];
-    physical = physical_pages_;
-  }
-  if (id >= physical) {
-    // Allocated but past the physical end (possible only after a foreign
-    // truncate since AllocatePage grows the file): zero-fill so the
-    // checksum check reports the damage instead of a raw syscall error.
-    std::memset(out, 0, kPageSize);
-    return Status::Ok();
-  }
-  return PreadPage(id, out);
-}
-
 void FileDiskBackend::ReadContiguousRun(PageReadRequest* run, size_t n) {
   if (n == 1) {
     run->status = PreadPage(run->id, run->out);
@@ -339,8 +320,9 @@ void FileDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   size_t i = 0;
   while (i < batch.size()) {
     if (batch[i].id >= physical) {
-      // Same contract as ReadPage: allocated but past the physical end
-      // reads back as the zero page.
+      // Allocated but past the physical end (possible only after a foreign
+      // truncate, since AllocatePage grows the file): zero-fill so the
+      // checksum check reports the damage instead of a raw syscall error.
       std::memset(batch[i].out, 0, kPageSize);
       batch[i].status = Status::Ok();
       ++i;
@@ -461,18 +443,22 @@ uint64_t FileDiskBackend::crc_entries_rewritten() const {
 }
 
 void FileDiskBackend::CorruptStoredPage(PageId id, uint32_t bit_index) {
+  size_t physical = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     DSKS_CHECK_MSG(id < checksums_.size(), "corrupt of unallocated page");
     DSKS_CHECK_MSG(bit_index < kPageSize * 8, "bit index out of page");
+    physical = physical_pages_;
   }
   // Read-modify-write of the whole page keeps the path O_DIRECT-clean.
   // A local buffer, not the bounce buffer: PreadPage/PwritePage use that
-  // one themselves when O_DIRECT is active.
+  // one themselves when O_DIRECT is active. A page past the physical end
+  // reads as zeros, as it does in ReadPages.
   auto page = std::make_unique<char[]>(kPageSize);
-  uint32_t unused_crc = 0;
-  DSKS_CHECK_MSG(ReadPage(id, page.get(), &unused_crc).ok(),
-                 "CorruptStoredPage: read failed");
+  if (id < physical) {
+    DSKS_CHECK_MSG(PreadPage(id, page.get()).ok(),
+                   "CorruptStoredPage: read failed");
+  }
   page[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
   DSKS_CHECK_MSG(PwritePage(id, page.get()).ok(),
                  "CorruptStoredPage: write-back failed");

@@ -52,12 +52,12 @@ class FileDiskBackend : public DiskBackend {
   FileDiskBackend& operator=(const FileDiskBackend&) = delete;
 
   PageId AllocatePage() override;
-  Status ReadPage(PageId id, char* out, uint32_t* expected_crc) override;
   /// Batched read: requests whose page ids form contiguous ascending runs
   /// are merged into single preadv calls (scattering straight into the
   /// callers' buffers, or through one aligned run buffer under O_DIRECT).
-  /// Any page a vectored call could not fully serve falls back to the
-  /// single-page path, so per-page error semantics match ReadPage exactly.
+  /// Any page a vectored call could not fully serve falls back to
+  /// PreadPage, so each page gets the same error semantics however it
+  /// was batched.
   void ReadPages(std::span<PageReadRequest> batch) override;
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;

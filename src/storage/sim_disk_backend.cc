@@ -45,21 +45,6 @@ PageId SimDiskBackend::AllocatePage() {
   return static_cast<PageId>(pages_.size() - 1);
 }
 
-Status SimDiskBackend::ReadPage(PageId id, char* out,
-                                uint32_t* expected_crc) {
-  const char* src;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DSKS_CHECK_MSG(id < pages_.size(), "read of unallocated page");
-    src = pages_[id].get();
-    *expected_crc = checksums_[id];
-  }
-  // Wait and copy outside the mutex so concurrent reads overlap.
-  WaitReadDelay();
-  std::memcpy(out, src, kPageSize);
-  return Status::Ok();
-}
-
 void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   if (batch.empty()) {
     return;

@@ -27,7 +27,6 @@ class SimDiskBackend : public DiskBackend {
   SimDiskBackend() = default;
 
   PageId AllocatePage() override;
-  Status ReadPage(PageId id, char* out, uint32_t* expected_crc) override;
   /// Batched read: the simulated latency is charged once for the whole
   /// batch — the model of a single vectored device request — then pages
   /// are resolved under the mutex and copied outside it.
@@ -38,7 +37,8 @@ class SimDiskBackend : public DiskBackend {
   void CorruptStoredPage(PageId id, uint32_t bit_index) override;
   size_t num_pages() const override;
 
-  /// Simulated read latency in microseconds, applied by every ReadPage.
+  /// Simulated read latency in microseconds, applied once per ReadPages
+  /// batch.
   void set_read_delay_us(double us) {
     read_delay_us_.store(us, std::memory_order_relaxed);
   }

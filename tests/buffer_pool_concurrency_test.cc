@@ -188,5 +188,111 @@ TEST(BufferPoolConcurrencyTest, ConcurrentMissesOnSamePageReadOnce) {
   EXPECT_EQ(pool.stats().hits.load(), kThreads - 1);
 }
 
+/// Overlapping FetchPages (distinct ids), FetchPage and Prefetch calls from
+/// 4 threads on a pool of 8 frames over 64 stamped pages, with a yielding
+/// read delay so reads overlap and in-flight frames are waited on. With
+/// `read_fault_p` > 0 some demand fetches fail; a failed call must leave
+/// nothing pinned. Returns the number of failed demand calls.
+uint64_t RunMergedDemandPathStress(double read_fault_p) {
+  dsks::testing::TestDisk disk;
+  constexpr size_t kPages = 64;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kIters = 400;
+  constexpr size_t kMaxBatch = 6;
+  char page[kPageSize] = {};
+  for (size_t i = 0; i < kPages; ++i) {
+    const PageId id = disk->AllocatePage();
+    FillPattern(id, page);
+    EXPECT_TRUE(disk->WritePage(id, page).ok());
+  }
+  disk->set_read_delay_us(20);
+  disk->set_read_delay_yields(true);
+  FaultInjector::Config faults;
+  faults.read_fault_p = read_fault_p;
+  faults.seed = 17;
+  if (read_fault_p > 0) {
+    disk->fault_injector()->Configure(faults);
+  }
+  BufferPool pool(disk.get(), 8);
+
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &failures, t] {
+      Random rng(99 + t);
+      std::vector<PageId> ids;
+      std::vector<char*> outs;
+      for (size_t it = 0; it < kIters; ++it) {
+        // Distinct ids: a random start and an odd stride over 64 pages.
+        const size_t n = 1 + rng.Uniform(kMaxBatch);
+        const PageId start = static_cast<PageId>(rng.Uniform(kPages));
+        const PageId stride = static_cast<PageId>(1 + 2 * rng.Uniform(4));
+        ids.clear();
+        for (size_t i = 0; i < n; ++i) {
+          ids.push_back((start + i * stride) % kPages);
+        }
+        outs.assign(n, nullptr);
+        switch (rng.Uniform(3)) {
+          case 0:
+            pool.Prefetch(ids);
+            continue;
+          case 1: {
+            char* data = nullptr;
+            if (!pool.FetchPage(ids[0], &data).ok()) {
+              failures.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
+            ExpectPattern(ids[0], data);
+            pool.UnpinPage(ids[0], /*dirty=*/false);
+            continue;
+          }
+          default:
+            break;
+        }
+        if (!pool.FetchPages(ids, outs).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          for (char* out : outs) {
+            EXPECT_EQ(out, nullptr) << "failed FetchPages left a pin";
+          }
+          continue;
+        }
+        for (size_t i = 0; i < n; ++i) {
+          ExpectPattern(ids[i], outs[i]);
+        }
+        for (PageId id : ids) {
+          pool.UnpinPage(id, /*dirty=*/false);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  // Clear CHECK-fails on any pinned page, so returning proves no pin
+  // leaked; it also resolves every prefetched flag (as wasted).
+  EXPECT_TRUE(pool.Clear().ok());
+  const BufferPoolStatsSnapshot s = pool.stats_snapshot();
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.prefetch_issued, 0u);
+  EXPECT_EQ(s.prefetch_issued,
+            s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
+  if (read_fault_p == 0) {
+    // Every demand miss is exactly one disk read; prefetches add theirs.
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(disk->stats().reads.load(),
+              s.misses + s.prefetch_issued - s.prefetch_dropped);
+  }
+  return failures.load();
+}
+
+TEST(BufferPoolConcurrencyTest, MergedDemandPathStress) {
+  RunMergedDemandPathStress(/*read_fault_p=*/0.0);
+}
+
+TEST(BufferPoolConcurrencyTest, MergedDemandPathStressWithReadFaults) {
+  EXPECT_GT(RunMergedDemandPathStress(/*read_fault_p=*/0.02), 0u);
+}
+
 }  // namespace
 }  // namespace dsks

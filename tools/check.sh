@@ -6,7 +6,8 @@
 # dropped more than 25% below the committed
 # bench/baseline_throughput.json, plus `dsks_cli query` and `dsks_cli
 # chaos` smokes (every query mode on a saved dataset; the process
-# survives injected faults). Usage:
+# survives injected faults) and a bench_micro smoke of the buffer-pool
+# fetch benches. Usage:
 #
 #   tools/check.sh            # both sanitizers + perf smoke
 #   tools/check.sh thread     # just one sanitizer (skips the perf smoke)
@@ -65,7 +66,24 @@ done
 if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   echo "=== perf smoke: building build-perf (Release) ==="
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  cmake --build build-perf -j"$(nproc)" --target bench_throughput --target dsks_cli
+  cmake --build build-perf -j"$(nproc)" --target bench_throughput \
+    --target dsks_cli --target bench_micro
+  # Micro-bench smoke: the pool fetch benches must run and print all six
+  # rows (hit and miss at 1, 2 and 4 threads). The JSON goes to
+  # build-perf/, never over the committed BENCH_micro.json.
+  echo "=== micro-bench smoke: bench_micro BM_PoolFetch ==="
+  ./build-perf/bench/bench_micro --benchmark_filter=BM_PoolFetch \
+    --benchmark_min_time=0.05 \
+    --benchmark_out=build-perf/bench_micro_smoke.json \
+    --benchmark_out_format=json > build-perf/bench_micro_smoke.out
+  rows="$(grep -cE '^BM_PoolFetch(Hit|Miss)/threads:[124] ' \
+    build-perf/bench_micro_smoke.out || true)"
+  if [ "$rows" != 6 ]; then
+    echo "micro-bench smoke: expected 6 BM_PoolFetch rows, got $rows" >&2
+    cat build-perf/bench_micro_smoke.out >&2
+    exit 1
+  fi
+  echo "=== micro-bench smoke: OK ==="
   echo "=== perf smoke: bench_throughput, 3 runs, best counts ==="
   : > build-perf/perf_smoke.jsonl
   for _ in 1 2 3; do
